@@ -32,7 +32,14 @@ from .opuc import (
     trajectory,
     zeros_in_disk,
 )
-from .toeplitz import assemble, ledger, log_det_direct, log_det_product
+from .toeplitz import (
+    assemble,
+    ledger,
+    log_det_direct,
+    log_det_minors,
+    log_det_product,
+    log_dn_and_g,
+)
 from .szego_fn import (
     SzegoSeries,
     alpha_from_D,

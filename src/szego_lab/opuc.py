@@ -2,9 +2,12 @@
 
 The recursion Φ_{n+1} = zΦ_n - ᾱ_n Φ_n*, with the reversed polynomial
 Φ_n*(z) = z^n conj(Φ_n(1/z̄)), extracts the Verblunsky coefficients α_n from
-the moments through the bilinear form ⟨z^a, z^b⟩ = c_{a-b}.  That form is the
-single point where moments enter: all inner products of polynomials route
-through :func:`moment_gram` / :func:`inner`.
+the moments through the bilinear form ⟨z^a, z^b⟩ = c_{a-b}.  Each step reads
+the moments once, in the O(n) sum ⟨1, zΦ_n⟩ = Σ_b Φ_n[b] c_{-b-1}, which
+equals ⟨Φ_n*, zΦ_n⟩ because zΦ_n is orthogonal to z, ..., z^n.
+:func:`run_to` keeps only the current state (O(N) memory); :func:`trajectory`
+keeps every state for callers that need each Φ_n.  :func:`moment_gram` and
+:func:`inner` give the dense form of the same inner product, for checks.
 """
 
 from __future__ import annotations
@@ -101,10 +104,11 @@ def init_state(m: MomentSequence) -> RecursionState:
     )
 
 
-def step(state: RecursionState, m: MomentSequence, gram: np.ndarray | None = None) -> RecursionState:
+def step(state: RecursionState, m: MomentSequence) -> RecursionState:
     """One Szegő step: extract α_n from the moments and advance to degree n+1.
 
-    ᾱ_n = ⟨Φ_n*, zΦ_n⟩/‖Φ_n‖² by orthogonality of Φ_{n+1} to Φ_n*; then
+    ᾱ_n = ⟨Φ_n*, zΦ_n⟩/‖Φ_n‖² by orthogonality of Φ_{n+1} to Φ_n*, and
+    ⟨Φ_n*, zΦ_n⟩ = ⟨1, zΦ_n⟩ = Σ_b Φ_n[b] c_{-b-1}; then
     Φ_{n+1} = zΦ_n - ᾱ_n Φ_n* and ‖Φ_{n+1}‖² = (1-|α_n|²)‖Φ_n‖².  The reversed
     polynomial is regenerated by the reversal involution so that its stored
     coefficients match Φ_{n+1} exactly; a redundant cross-check confirms
@@ -113,17 +117,15 @@ def step(state: RecursionState, m: MomentSequence, gram: np.ndarray | None = Non
     n = state.n
     if m.order < n + 1:
         raise ValueError(f"step from degree {n} needs moments up to {n + 1}, have {m.order}")
-    if gram is None:
-        gram = moment_gram(m, n + 2)
-    z_phi = np.concatenate([np.zeros(1, dtype=complex), state.phi.coeffs])
-    alpha_bar = inner(state.phi_star, z_phi, gram) / state.norm_sq
-    alpha = np.conj(alpha_bar)
+    c = m.nonnegative()
+    alpha_bar = complex(np.vdot(c[1 : n + 2], state.phi.coeffs)) / state.norm_sq
+    alpha = alpha_bar.conjugate()
     if abs(alpha) >= 1.0:
         raise PositivityError(
             f"|alpha_{n}| = {abs(alpha):.6g} >= 1: moment matrix not positive "
             "definite or accuracy exhausted"
         )
-    next_coeffs = z_phi.copy()
+    next_coeffs = np.concatenate([np.zeros(1, dtype=complex), state.phi.coeffs])
     next_coeffs[: n + 1] -= alpha_bar * state.phi_star
     phi_next = MonicPoly(next_coeffs)
     if abs(alpha - (-np.conj(phi_next.coeffs[0]))) > ALPHA_CROSSCHECK_TOL:
@@ -135,26 +137,33 @@ def step(state: RecursionState, m: MomentSequence, gram: np.ndarray | None = Non
         phi=phi_next,
         phi_star=reversed_conj(phi_next.coeffs),
         norm_sq=state.norm_sq * (1.0 - abs(alpha) ** 2),
-        alphas=state.alphas + (complex(alpha),),
+        alphas=state.alphas + (alpha,),
         c0=state.c0,
     )
 
 
-def run_to(m: MomentSequence, n: int) -> RecursionState:
-    """Iterate :func:`step` from degree 0 up to degree n."""
-    return trajectory(m, n)[-1]
-
-
-def trajectory(m: MomentSequence, n: int) -> list[RecursionState]:
-    """All states of degrees 0..n (the Gram matrix is assembled once)."""
+def _check_target(m: MomentSequence, n: int) -> None:
     if n < 0:
         raise ValueError("target degree must be nonnegative")
     if m.order < n:
         raise ValueError(f"moments up to order {n} required, have {m.order}")
-    gram = moment_gram(m, n + 1)
+
+
+def run_to(m: MomentSequence, n: int) -> RecursionState:
+    """The state of degree n, iterating :func:`step` and keeping only the current state."""
+    _check_target(m, n)
+    state = init_state(m)
+    for _ in range(n):
+        state = step(state, m)
+    return state
+
+
+def trajectory(m: MomentSequence, n: int) -> list[RecursionState]:
+    """All states of degrees 0..n."""
+    _check_target(m, n)
     states = [init_state(m)]
     for _ in range(n):
-        states.append(step(states[-1], m, gram))
+        states.append(step(states[-1], m))
     return states
 
 

@@ -9,6 +9,7 @@ with adaptive doubling, which is spectrally accurate for these integrands.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -159,8 +160,14 @@ class MomentSequence:
         return value if n >= 0 else value.conjugate()
 
     def nonnegative(self) -> np.ndarray:
-        """c_0..c_N as a complex array."""
-        return np.asarray(self.values, dtype=complex)
+        """c_0..c_N as a read-only complex array, built once per sequence."""
+        return self._array
+
+    @cached_property
+    def _array(self) -> np.ndarray:
+        arr = np.asarray(self.values, dtype=complex)
+        arr.flags.writeable = False
+        return arr
 
     def normalized(self) -> "MomentSequence":
         """Moments of the probability-normalized measure dμ/c_0."""

@@ -1,11 +1,15 @@
 """Direct Toeplitz linear algebra and the determinant functionals F and G.
 
-Two independent determinant routes live here: Cholesky factorization of the
-assembled Hermitian Toeplitz matrix, and the product of squared norms
-D_n = Π_{j≤n} ‖Φ_j‖² accumulated from the Verblunsky coefficients.  The
+Two independent determinant routes live here.  The direct route factors the
+assembled Hermitian Toeplitz matrix once: the Cholesky factor of each leading
+block is the same leading block of the full factor, so every leading minor
+log D_n = 2 Σ_{i≤n} log L_ii comes from one O(N³) factorization.  The product
+route accumulates D_n = Π_{j≤n} ‖Φ_j‖² from c_0 and the Verblunsky
+coefficients alone, with prefix sums over log(1-|α_j|²) in O(N) time.  The
 ledger tracks log D_n, the ratio D_{n+1}/D_n, the running product
 F = c_0 Π (1-|α_j|²), and G_n = Π_j (1-|α_j|²)^{-min(n,j)-1}, all carried in
-log space internally.
+log space internally.  The direct route never reads an α and the product
+route never reads the factor.
 """
 
 from __future__ import annotations
@@ -17,8 +21,7 @@ import numpy as np
 from .errors import PositivityError
 from .opuc import RecursionState
 from .symbol import MomentSequence
-
-CSV_SCHEMA = "# schema=1"
+from .textio import CSV_SCHEMA
 
 
 def assemble(m: MomentSequence, n: int) -> np.ndarray:
@@ -31,8 +34,8 @@ def assemble(m: MomentSequence, n: int) -> np.ndarray:
     return strip[idx[None, :] - idx[:, None] + n]
 
 
-def log_det_direct(t: np.ndarray) -> float:
-    """log det via Cholesky: 2 Σ log diag(L).  Never forms the determinant itself.
+def _log_chol_diag(t: np.ndarray) -> np.ndarray:
+    """log diag(L) of the Cholesky factor t = L L^H.
 
     A factorization failure is diagnostic (the matrix is not positive
     definite) and surfaces as :class:`PositivityError`.
@@ -41,7 +44,45 @@ def log_det_direct(t: np.ndarray) -> float:
         chol = np.linalg.cholesky(t)
     except np.linalg.LinAlgError as exc:
         raise PositivityError(f"Toeplitz matrix is not positive definite: {exc}") from exc
-    return float(2.0 * np.sum(np.log(np.real(np.diag(chol)))))
+    return np.log(np.real(np.diag(chol)))
+
+
+def log_det_direct(t: np.ndarray) -> float:
+    """log det via Cholesky: 2 Σ log diag(L).  Never forms the determinant itself."""
+    return float(2.0 * np.sum(_log_chol_diag(t)))
+
+
+def log_det_minors(m: MomentSequence, n_max: int) -> np.ndarray:
+    """log D_n for n = 0..n_max from one factorization of ``assemble(m, n_max)``.
+
+    log D_n = 2 Σ_{i≤n} log L_ii, since the factor of a leading block is the
+    leading block of the factor.
+    """
+    return 2.0 * np.cumsum(_log_chol_diag(assemble(m, n_max)))
+
+
+def _log_rho_sq(alphas) -> np.ndarray:
+    """r_j = log(1-|α_j|²) = log ρ_j²."""
+    return np.log1p(-np.abs(np.asarray(alphas, dtype=complex)) ** 2)
+
+
+def log_dn_and_g(alphas, n_max: int, log_c0: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(log D_n, log G_n) for n = 0..n_max of the measure with mass e^{log_c0}
+    and Verblunsky coefficients α_0, α_1, ... followed by zeros.
+
+    With r_j = log(1-|α_j|²): log ‖Φ_n‖² = log c_0 + Σ_{j<n} r_j, log D_n is
+    the running sum of those, and
+    log G_n = -Σ_{j≤n} (j+1) r_j - (n+1) Σ_{j>n} r_j.
+    Every r_j is ≤ 0, so no sum cancels.  O(n_max + len(alphas)).
+    """
+    r = np.zeros(max(len(alphas), n_max + 1))
+    r[: len(alphas)] = _log_rho_sq(alphas)
+    degrees = np.arange(n_max + 1)
+    log_norm_excess = np.concatenate(([0.0], np.cumsum(r[:n_max])))
+    log_dn = (degrees + 1) * log_c0 + np.cumsum(log_norm_excess)
+    head = np.cumsum((np.arange(r.size) + 1) * r)[: n_max + 1]
+    tail = np.append(np.cumsum(r[::-1])[::-1], 0.0)[1 : n_max + 2]  # Σ_{j>n} r_j
+    return log_dn, -(head + (degrees + 1) * tail)
 
 
 def log_det_product(state: RecursionState) -> float:
@@ -49,11 +90,8 @@ def log_det_product(state: RecursionState) -> float:
 
     Equals (n+1) log c_0 + Σ_{j<n} (n-j) log(1-|α_j|²).
     """
-    n = state.n
-    total = (n + 1) * np.log(state.c0)
-    for j, alpha in enumerate(state.alphas[:n]):
-        total += (n - j) * np.log1p(-abs(alpha) ** 2)
-    return float(total)
+    log_dn, _ = log_dn_and_g(state.alphas[: state.n], state.n, float(np.log(state.c0)))
+    return float(log_dn[-1])
 
 
 @dataclass(frozen=True)
@@ -93,6 +131,7 @@ def ledger(state: RecursionState, n_max: int | None = None) -> DeterminantLedger
     which depends on the α's alone; log c_0 is recorded separately.  The
     state must carry at least n_max + 1 Verblunsky coefficients so the ratio
     column D_{n+1}/D_n = c_0 Π_{j≤n}(1-|α_j|²) is available on every row.
+    F equals that ratio and is carried as the same value.
     """
     if n_max is None:
         n_max = state.n - 1
@@ -103,23 +142,17 @@ def ledger(state: RecursionState, n_max: int | None = None) -> DeterminantLedger
             f"ledger to n={n_max} needs {n_max + 1} alphas, state holds {len(state.alphas)}"
         )
     log_c0 = float(np.log(state.c0))
-    log_rho_sq = np.array([np.log1p(-abs(a) ** 2) for a in state.alphas])
-    rows = []
-    log_dn = 0.0
-    for n in range(n_max + 1):
-        log_dn = (n + 1) * log_c0 + float(
-            np.sum((n - np.arange(n)) * log_rho_sq[:n])
+    log_dn, log_g = log_dn_and_g(state.alphas, n_max, log_c0)
+    ratios = np.exp(log_c0 + np.cumsum(_log_rho_sq(state.alphas[: n_max + 1])))
+    g_n = np.exp(log_g)
+    rows = tuple(
+        LedgerRow(
+            n=n,
+            log_dn=float(log_dn[n]),
+            ratio=float(ratios[n]),
+            g_n=float(g_n[n]),
+            f_running=float(ratios[n]),
         )
-        log_ratio = log_c0 + float(np.sum(log_rho_sq[: n + 1]))
-        exponents = np.minimum(n, np.arange(len(log_rho_sq))) + 1
-        log_g = -float(np.sum(exponents * log_rho_sq))
-        rows.append(
-            LedgerRow(
-                n=n,
-                log_dn=log_dn,
-                ratio=float(np.exp(log_ratio)),
-                g_n=float(np.exp(log_g)),
-                f_running=float(np.exp(log_ratio)),
-            )
-        )
-    return DeterminantLedger(rows=tuple(rows), log_c0=log_c0)
+        for n in range(n_max + 1)
+    )
+    return DeterminantLedger(rows=rows, log_c0=log_c0)

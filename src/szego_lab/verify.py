@@ -200,8 +200,8 @@ def strong_szego_report(
     """Per-degree ledger of the determinant excess against Σ k|l_k|².
 
     log D_n is computed through both the Cholesky and the norm-product
-    routes (they must agree to relative 1e-10); G_n is tracked and must
-    increase toward the target.  route="coulomb" records the gas-integral
+    routes, each for every n in one pass (they must agree to relative
+    1e-10); G_n is tracked and must increase toward the target.  route="coulomb" records the gas-integral
     value instead, which caps n_max at 2 (tensor-quadrature cost).
     """
     if route not in ("direct", "product", "coulomb"):
@@ -212,16 +212,15 @@ def strong_szego_report(
         raise ValueError("the coulomb route supports n_max <= 2")
     mean_coeff, target = target_sum(s)
     m = moments(s, n_max + 1)
-    states = opuc.trajectory(m, n_max + 1)
-    led = toeplitz.ledger(states[-1], n_max)
+    state = opuc.run_to(m, n_max + 1)
+    log_direct = toeplitz.log_det_minors(m, n_max).tolist()
+    log_products, log_g = toeplitz.log_dn_and_g(state.alphas, n_max, float(np.log(m.c0)))
     rows = []
-    for n in range(n_max + 1):
-        log_direct = toeplitz.log_det_direct(toeplitz.assemble(m, n))
-        log_product = toeplitz.log_det_product(states[n])
-        if not routes_agree(log_direct, log_product):
+    for n, log_product in enumerate(log_products.tolist()):
+        if not routes_agree(log_direct[n], log_product):
             raise InvariantViolation(
                 f"determinant routes disagree at n={n}: "
-                f"direct {log_direct!r} vs product {log_product!r}"
+                f"direct {log_direct[n]!r} vs product {log_product!r}"
             )
         if route == "coulomb":
             log_dn = float(np.log(coulomb.exact_Dn(s, n).value))
@@ -230,9 +229,8 @@ def strong_szego_report(
                     f"gas route disagrees with the product route at n={n}"
                 )
         else:
-            log_dn = log_direct if route == "direct" else log_product
+            log_dn = log_direct[n] if route == "direct" else log_product
         excess = log_dn - (n + 1) * mean_coeff
-        g_n = led.rows[n].g_n
         rows.append(
             ReportRow(
                 n=n,
@@ -240,10 +238,9 @@ def strong_szego_report(
                 excess=excess,
                 target=target,
                 abs_err=abs(excess - target),
-                g_n=g_n,
+                g_n=float(np.exp(log_g[n])),
             )
         )
-    log_g = np.log([r.g_n for r in rows])
     if np.any(np.diff(log_g) < -MONOTONE_SLACK):
         raise InvariantViolation("G_n is not nondecreasing")
     if np.any(log_g > target + G_BOUND_TOL):
@@ -374,15 +371,6 @@ class GIBoundReport:
     rows: tuple[GIBoundRow, ...]
 
 
-def _log_g_sequence(alphas, n_max: int) -> np.ndarray:
-    log_rho_sq = np.array([np.log1p(-abs(a) ** 2) for a in alphas])
-    out = np.empty(n_max + 1)
-    for n in range(n_max + 1):
-        exponents = np.minimum(n, np.arange(len(alphas))) + 1
-        out[n] = -float(np.sum(exponents * log_rho_sq))
-    return out
-
-
 def gi_bound_check(s: LaurentSymbol, level: int, n_max: int = 40) -> GIBoundReport:
     """Sandwich diagnostics: G_n of the weight and of its two truncations.
 
@@ -395,14 +383,14 @@ def gi_bound_check(s: LaurentSymbol, level: int, n_max: int = 40) -> GIBoundRepo
     _, target = target_sum(s)
     m = moments(s, n_max + 1)
     alphas_full = opuc.run_to(m, n_max + 1).alphas
-    log_g_full = _log_g_sequence(alphas_full, n_max)
+    _, log_g_full = toeplitz.log_dn_and_g(alphas_full, n_max)
 
     truncated = gi_truncate(s, level)
     _, gi_target = target_sum(truncated)
     m_gi = moments(truncated, n_max + 1)
-    log_g_gi = _log_g_sequence(opuc.run_to(m_gi, n_max + 1).alphas, n_max)
+    _, log_g_gi = toeplitz.log_dn_and_g(opuc.run_to(m_gi, n_max + 1).alphas, n_max)
 
-    log_g_bs = _log_g_sequence(alphas_full[:level], n_max)
+    _, log_g_bs = toeplitz.log_dn_and_g(alphas_full[:level], n_max)
 
     for name, seq, bound in (
         ("full", log_g_full, target),

@@ -1,5 +1,7 @@
 """Szegő recursion: Verblunsky extraction, norms, inversion, and zero location."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from szego_lab import (
 )
 from szego_lab.opuc import inner, moment_gram, reversed_conj
 from szego_lab.symbol import MomentSequence
+from szego_lab.verify import bs_log_weight
 
 from conftest import bessel_i, geometric_moments, gram_schmidt_monic
 
@@ -68,6 +71,17 @@ class TestStep:
         with pytest.raises(ValueError):
             step(state, m)
 
+    def test_linear_alpha_matches_the_gram_quadratic_form(self, suite):
+        # ᾱ_n = ⟨Φ_n*, zΦ_n⟩/‖Φ_n‖² evaluated densely, against the O(n) sum
+        for name, s in suite.items():
+            m = moments(s, 26)
+            gram = moment_gram(m, 27)
+            states = trajectory(m, 26)
+            for prev, nxt in zip(states, states[1:]):
+                z_phi = np.concatenate([[0.0], prev.phi.coeffs])
+                reference = inner(prev.phi_star, z_phi, gram) / prev.norm_sq
+                assert abs(np.conj(nxt.alphas[-1]) - reference) <= 1e-13, (name, prev.n)
+
     def test_indefinite_moments_surface_as_positivity_error(self):
         bad = MomentSequence((1.0, 1.5))
         with pytest.raises(PositivityError):
@@ -90,6 +104,16 @@ class TestRunTo:
         for d in range(11):
             assert np.allclose(states[d].phi.coeffs, polys[d], atol=1e-11)
             assert states[d].norm_sq == pytest.approx(norms[d], rel=1e-11)
+
+    def test_keeps_only_the_current_state(self):
+        m = moments(bs_log_weight(0.97), 1600)
+        tracemalloc.start()
+        try:
+            run_to(m, 1600)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_cosine_alphas_decay(self, cos_symbol):
         m = moments(cos_symbol, 21)

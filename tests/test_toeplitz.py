@@ -10,12 +10,14 @@ from szego_lab import (
     assemble,
     ledger,
     log_det_direct,
+    log_det_minors,
     log_det_product,
     make_symbol,
     moments,
     run_to,
     trajectory,
 )
+from szego_lab.symbol import MomentSequence
 from szego_lab.verify import routes_agree
 
 from conftest import bessel_i, geometric_moments
@@ -60,6 +62,21 @@ class TestLogDetDirect:
     def test_indefinite_matrix_is_rejected(self):
         with pytest.raises(PositivityError):
             log_det_direct(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+class TestLogDetMinors:
+    def test_every_minor_matches_its_own_factorization(self, suite):
+        for name, s in suite.items():
+            m = moments(s, 60)
+            minors = log_det_minors(m, 60)
+            assert minors.shape == (61,)
+            for n in range(61):
+                single = log_det_direct(assemble(m, n))
+                assert abs(minors[n] - single) <= 1e-12 * abs(single), (name, n)
+
+    def test_indefinite_moments_are_rejected(self):
+        with pytest.raises(PositivityError):
+            log_det_minors(MomentSequence((1.0, 0.5, 1.5)), 2)
 
 
 class TestLogDetProduct:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from szego_lab import (
+    InvariantViolation,
+    PositivityError,
     bs_approximation,
     bs_log_weight,
     feynman_hellman_check,
@@ -16,6 +18,8 @@ from szego_lab import (
     run_to,
     strong_szego_report,
 )
+from szego_lab import toeplitz, verify
+from szego_lab.symbol import MomentSequence
 from szego_lab.verify import default_suite, family_member, scaled_symbol
 
 from conftest import bessel_i, geometric_moments
@@ -84,6 +88,21 @@ class TestStrongSzegoReport:
             assert ra.log_dn == pytest.approx(rb.log_dn, rel=1e-8)
         with pytest.raises(ValueError):
             strong_szego_report(cos_symbol, 10, route="coulomb")
+
+    def test_indefinite_moments_raise_positivity_error(self, cos_symbol, monkeypatch):
+        # the 3×3 section of c = (1, 0.9, 0, ...) has determinant 1 - 2·0.81 < 0
+        bad = MomentSequence((1.0, 0.9, 0.0, 0.0, 0.0))
+        monkeypatch.setattr(verify, "moments", lambda s, n: bad)
+        with pytest.raises(PositivityError):
+            strong_szego_report(cos_symbol, 3)
+
+    def test_route_disagreement_is_caught(self, cos_symbol, monkeypatch):
+        minors = toeplitz.log_det_minors
+        monkeypatch.setattr(
+            toeplitz, "log_det_minors", lambda m, n: minors(m, n) * (1.0 + 1e-8)
+        )
+        with pytest.raises(InvariantViolation, match="routes disagree at n=0"):
+            strong_szego_report(cos_symbol, 5)
 
     def test_csv_and_json_forms(self, cos_symbol):
         rep = strong_szego_report(cos_symbol, 4)
