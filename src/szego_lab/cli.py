@@ -26,8 +26,8 @@ from .symbol import (
     LaurentSymbol,
     MomentSequence,
     load_symbol,
-    make_symbol,
     moments,
+    stored_symbol,
 )
 from .textio import CSV_SCHEMA, fmt, json_text
 
@@ -38,8 +38,8 @@ EXIT_QUADRATURE = 3
 EXIT_RANGE = 4
 
 
-def _parse_coeff_flags(pairs: list[str]) -> LaurentSymbol:
-    coeffs: dict[int, complex] = {}
+def _coeff_flag_entries(pairs: list[str]):
+    """(k, l_k, flag) for each `k=re[,im]` flag, in command-line order."""
     for raw in pairs:
         try:
             key, _, value = raw.partition("=")
@@ -51,28 +51,13 @@ def _parse_coeff_flags(pairs: list[str]) -> LaurentSymbol:
                 raise ValueError("too many fields")
         except (ValueError, IndexError):
             raise SymbolParseError(f"bad --coeff {raw!r}; expected k=re[,im]") from None
-        if k < 0:
-            raise SymbolParseError(
-                f"--coeff {raw!r}: only k >= 0 may be given; negative k is implied"
-            )
-        if k == 0 and im != 0.0:
-            raise SymbolParseError(f"--coeff {raw!r}: coefficient 0 must be real")
-        if k in coeffs:
-            raise SymbolParseError(f"duplicate --coeff for k={k}")
-        coeffs[k] = complex(re, im)
-    full = dict(coeffs)
-    for k, v in coeffs.items():
-        if k > 0:
-            full[-k] = v.conjugate()
-    return make_symbol(full)
+        yield k, complex(re, im), f"--coeff {raw!r}"
 
 
 def _symbol_from_args(args) -> LaurentSymbol:
     if getattr(args, "symbol", None):
         return load_symbol(args.symbol)
-    if getattr(args, "coeff", None):
-        return _parse_coeff_flags(args.coeff)
-    return make_symbol({})
+    return stored_symbol(_coeff_flag_entries(getattr(args, "coeff", None) or []))
 
 
 def _write_output(args, text: str) -> None:
@@ -81,6 +66,17 @@ def _write_output(args, text: str) -> None:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_checks(args, body: str, checks: list[tuple[str, bool, str]]) -> int:
+    """Write ``body``, then one `# check NAME PASS|FAIL (detail)` line per check
+    (no parenthesis for an empty detail); exit 0 only if every check passed."""
+    lines = [
+        f"# check {name} {'PASS' if ok else 'FAIL'}" + (f" ({detail})" if detail else "")
+        for name, ok, detail in checks
+    ]
+    _write_output(args, body + "\n".join(lines) + "\n")
+    return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_INVARIANT
 
 
 def load_moments_csv(path) -> MomentSequence:
@@ -151,7 +147,9 @@ def _verify_checks_from_moments(m: MomentSequence, n_max: int) -> list[tuple[str
         checks.append(("recursion", False, str(exc)))
         return checks
     checks.append(("recursion", True, f"ran to degree {n_top + 1}"))
-    log_product, _ = toeplitz.log_dn_and_g(states[-1].alphas, n_top, float(np.log(m.c0)))
+    log_c0 = float(np.log(m.c0))
+    alphas = np.asarray(states[-1].alphas)
+    log_product, log_g = toeplitz.log_dn_and_g(alphas, n_top, log_c0)
     worst = 0.0
     for direct, product in zip(log_direct.tolist(), log_product.tolist()):
         worst = max(worst, verify._relative_gap(direct, product))
@@ -162,7 +160,6 @@ def _verify_checks_from_moments(m: MomentSequence, n_max: int) -> list[tuple[str
             f"worst relative gap {fmt(worst)}",
         )
     )
-    alphas = np.asarray(states[-1].alphas)
     checks.append(
         ("alpha-bound", bool(np.all(np.abs(alphas) < 1.0)), "|alpha_n| < 1")
     )
@@ -170,20 +167,19 @@ def _verify_checks_from_moments(m: MomentSequence, n_max: int) -> list[tuple[str
     checks.append(
         ("norm-monotone", bool(np.all(np.diff(norms) <= 1e-15)), "norms nonincreasing")
     )
-    led = toeplitz.ledger(states[-1], n_top)
-    ratios = np.asarray([np.log(r.ratio) for r in led.rows])
-    gs = np.asarray([np.log(r.g_n) for r in led.rows])
+    # log(D_{n+1}/D_n) from the α's, independent of norm-monotone's norm_sq
+    log_ratios = log_c0 + np.cumsum(toeplitz.log_rho_sq(alphas[: n_top + 1]))
     checks.append(
         (
             "ratio-monotone",
-            bool(np.all(np.diff(ratios) <= verify.MONOTONE_SLACK)),
+            bool(np.all(np.diff(log_ratios) <= verify.MONOTONE_SLACK)),
             "D_{n+1}/D_n nonincreasing",
         )
     )
     checks.append(
         (
             "g-monotone",
-            bool(np.all(np.diff(gs) >= -verify.MONOTONE_SLACK)),
+            bool(np.all(np.diff(log_g) >= -verify.MONOTONE_SLACK)),
             "G_n nondecreasing",
         )
     )
@@ -222,11 +218,7 @@ def cmd_verify(args) -> int:
         except (PositivityError, InvariantViolation) as exc:
             name = "positivity" if isinstance(exc, PositivityError) else "invariant"
             checks = [(name, False, str(exc))]
-    summary_lines = [
-        f"# check {name} {'PASS' if ok else 'FAIL'} ({detail})" for name, ok, detail in checks
-    ]
-    _write_output(args, body + "\n".join(summary_lines) + "\n")
-    return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_INVARIANT
+    return _write_checks(args, body, checks)
 
 
 def cmd_coulomb(args) -> int:
@@ -277,9 +269,7 @@ def cmd_cd_check(args) -> int:
         ("diagonal-boundary", worst_diag <= 1e-10, f"worst deviation {fmt(worst_diag)}"),
         ("normalization", abs(ratio - 1.0) <= 1e-9, f"ratio {fmt(ratio)}"),
     ]
-    lines = [f"# check {name} {'PASS' if ok else 'FAIL'} ({detail})" for name, ok, detail in checks]
-    _write_output(args, "\n".join(lines) + "\n")
-    return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_INVARIANT
+    return _write_checks(args, "", checks)
 
 
 def cmd_bs_check(args) -> int:
@@ -289,8 +279,7 @@ def cmd_bs_check(args) -> int:
     try:
         bundle = verify.bs_approximation(m, level)
     except InvariantViolation as exc:
-        _write_output(args, f"# check bs-approximation FAIL ({exc})\n")
-        return EXIT_INVARIANT
+        return _write_checks(args, "", [("bs-approximation", False, str(exc))])
     payload = {
         "level": bundle.level,
         "mass": bundle.mass,
@@ -299,8 +288,7 @@ def cmd_bs_check(args) -> int:
         "alpha_tail_deviation": bundle.alpha_tail_deviation,
         "grid_m": bundle.grid_m,
     }
-    _write_output(args, json_text(payload) + "# check bs-approximation PASS\n")
-    return EXIT_OK
+    return _write_checks(args, json_text(payload), [("bs-approximation", True, "")])
 
 
 def cmd_fh_check(args) -> int:
@@ -317,9 +305,7 @@ def cmd_fh_check(args) -> int:
     }
     noise_floor = 1e-10 * max(1.0, abs(result.analytic))
     ok = result.gap <= noise_floor or 3.0 <= result.ratio <= 5.0
-    status = "PASS" if ok else "FAIL"
-    _write_output(args, json_text(payload) + f"# check feynman-hellman {status}\n")
-    return EXIT_OK if ok else EXIT_INVARIANT
+    return _write_checks(args, json_text(payload), [("feynman-hellman", ok, "")])
 
 
 # --------------------------------------------------------------------------

@@ -4,7 +4,8 @@ The recursion Φ_{n+1} = zΦ_n - ᾱ_n Φ_n*, with the reversed polynomial
 Φ_n*(z) = z^n conj(Φ_n(1/z̄)), extracts the Verblunsky coefficients α_n from
 the moments through the bilinear form ⟨z^a, z^b⟩ = c_{a-b}.  Each step reads
 the moments once, in the O(n) sum ⟨1, zΦ_n⟩ = Σ_b Φ_n[b] c_{-b-1}, which
-equals ⟨Φ_n*, zΦ_n⟩ because zΦ_n is orthogonal to z, ..., z^n.
+equals ⟨Φ_n*, zΦ_n⟩ because zΦ_n is orthogonal to z, ..., z^n.  Φ_n* is
+never stored: a state derives it from Φ_n by the reversal involution.
 :func:`run_to` keeps only the current state (O(N) memory); :func:`trajectory`
 keeps every state for callers that need each Φ_n.  :func:`moment_gram` and
 :func:`inner` give the dense form of the same inner product, for checks.
@@ -50,14 +51,18 @@ def reversed_conj(coeffs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RecursionState:
-    """Recursion data at degree n: Φ_n, Φ_n*, ‖Φ_n‖², and α_0..α_{n-1}."""
+    """Recursion data at degree n: Φ_n, ‖Φ_n‖², and α_0..α_{n-1}."""
 
     n: int
     phi: MonicPoly
-    phi_star: np.ndarray
     norm_sq: float
     alphas: tuple[complex, ...]
     c0: float
+
+    @property
+    def phi_star(self) -> np.ndarray:
+        """Coefficients of Φ_n*(z) = z^n conj(Φ_n(1/z̄)), derived from Φ_n."""
+        return reversed_conj(self.phi.coeffs)
 
     def kappa(self) -> float:
         """κ_n = ‖Φ_n‖^{-1}, the orthonormal leading coefficient."""
@@ -94,14 +99,7 @@ def inner(p: np.ndarray, q: np.ndarray, gram: np.ndarray) -> complex:
 def init_state(m: MomentSequence) -> RecursionState:
     """Degree-0 state: Φ_0 = Φ_0* = 1, ‖Φ_0‖² = c_0, no α's yet."""
     one = MonicPoly(np.ones(1, dtype=complex))
-    return RecursionState(
-        n=0,
-        phi=one,
-        phi_star=np.ones(1, dtype=complex),
-        norm_sq=m.c0,
-        alphas=(),
-        c0=m.c0,
-    )
+    return RecursionState(n=0, phi=one, norm_sq=m.c0, alphas=(), c0=m.c0)
 
 
 def step(state: RecursionState, m: MomentSequence) -> RecursionState:
@@ -109,10 +107,8 @@ def step(state: RecursionState, m: MomentSequence) -> RecursionState:
 
     ᾱ_n = ⟨Φ_n*, zΦ_n⟩/‖Φ_n‖² by orthogonality of Φ_{n+1} to Φ_n*, and
     ⟨Φ_n*, zΦ_n⟩ = ⟨1, zΦ_n⟩ = Σ_b Φ_n[b] c_{-b-1}; then
-    Φ_{n+1} = zΦ_n - ᾱ_n Φ_n* and ‖Φ_{n+1}‖² = (1-|α_n|²)‖Φ_n‖².  The reversed
-    polynomial is regenerated by the reversal involution so that its stored
-    coefficients match Φ_{n+1} exactly; a redundant cross-check confirms
-    α_n = -conj(Φ_{n+1}(0)).
+    Φ_{n+1} = zΦ_n - ᾱ_n Φ_n* and ‖Φ_{n+1}‖² = (1-|α_n|²)‖Φ_n‖².  A redundant
+    cross-check confirms α_n = -conj(Φ_{n+1}(0)).
     """
     n = state.n
     if m.order < n + 1:
@@ -135,7 +131,6 @@ def step(state: RecursionState, m: MomentSequence) -> RecursionState:
     return RecursionState(
         n=n + 1,
         phi=phi_next,
-        phi_star=reversed_conj(phi_next.coeffs),
         norm_sq=state.norm_sq * (1.0 - abs(alpha) ** 2),
         alphas=state.alphas + (alpha,),
         c0=state.c0,

@@ -2,8 +2,8 @@
 
 Periodic analytic integrands are integrated with the uniform-grid rule
 (trapezoid = rectangle on the torus), which converges geometrically in the
-number of nodes.  All adaptive routines double the grid until successive
-values stagnate below a tolerance, capped by ``SZEGO_LAB_GRID_MAX``.
+number of nodes.  Every adaptive routine, here and in :mod:`symbol`, doubles
+the grid by the one stop rule of :func:`_double_until_stagnant`.
 """
 
 from __future__ import annotations
@@ -48,6 +48,32 @@ def circle_mean(values: np.ndarray) -> complex:
     return np.mean(values)
 
 
+def _double_until_stagnant(evaluate, start: int, tol: float, fail_tol: float, what: str):
+    """``evaluate(m)`` for m = start, 2·start, ... up to ``SZEGO_LAB_GRID_MAX``,
+    until two successive values differ by less than ``tol`` in every entry.
+
+    Returns the last value and its m.  Raises :class:`QuadratureError` naming
+    ``what`` if the cap is reached with the last change above ``fail_tol``.
+    """
+    cap = grid_cap()
+    m = min(start, cap)
+    value = evaluate(m)
+    change = np.inf
+    while 2 * m <= cap:
+        m *= 2
+        new = evaluate(m)
+        change = float(np.max(np.abs(new - value)))
+        value = new
+        if change < tol:
+            return value, m
+    if change > fail_tol:
+        raise QuadratureError(
+            f"{what} quadrature did not stagnate below {fail_tol:g} "
+            f"within the grid cap {cap} (last change {change:g})"
+        )
+    return value, m
+
+
 def adaptive_circle_mean(
     f: Callable[[np.ndarray], np.ndarray],
     start: int = 64,
@@ -60,23 +86,9 @@ def adaptive_circle_mean(
     :class:`QuadratureError` if the cap is reached while successive values
     still differ by more than ``fail_tol``.
     """
-    cap = grid_cap()
-    m = min(max(int(start), 1), cap)
-    value = circle_mean(f(angles(m)))
-    change = np.inf
-    while 2 * m <= cap:
-        m *= 2
-        new = circle_mean(f(angles(m)))
-        change = abs(new - value)
-        value = new
-        if change < tol:
-            return value, m
-    if change > fail_tol:
-        raise QuadratureError(
-            f"circle quadrature did not stagnate below {fail_tol:g} "
-            f"within the grid cap {cap} (last change {change:g})"
-        )
-    return value, m
+    return _double_until_stagnant(
+        lambda m: circle_mean(f(angles(m))), max(int(start), 1), tol, fail_tol, "circle"
+    )
 
 
 def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:

@@ -3,14 +3,16 @@
 A log-weight is a real Laurent polynomial L(θ) = Σ_{|k|≤K} l_k e^{ikθ} with
 l_{-k} = conj(l_k); the associated weight is w = e^L and the moments are
 c_n = ∫ e^{-inθ} w(θ) dθ/2π.  Moments are computed by FFT on a uniform grid
-with adaptive doubling, which is spectrally accurate for these integrands.
+with adaptive doubling (the one stop rule of :mod:`quadrature`), which is
+spectrally accurate for these integrands.  Stored coefficients, from symbol
+files and ``--coeff`` flags alike, obey the one rule set of :func:`stored_symbol`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from .errors import (
     QuadratureError,
     SymbolParseError,
 )
+from .textio import fmt
 
 SYMMETRY_TOL = 1e-12
 IMAG_RESIDUE_TOL = 1e-13
@@ -61,14 +64,6 @@ class LaurentSymbol:
             return 0.0 + 0.0j
         value = complex(self.coeffs[abs(k)])
         return value if k >= 0 else value.conjugate()
-
-    def as_map(self) -> dict[int, complex]:
-        """Full coefficient map including negative indices."""
-        out = {0: complex(self.mean)}
-        for k in range(1, self.bandwidth + 1):
-            out[k] = complex(self.coeffs[k])
-            out[-k] = complex(self.coeffs[k]).conjugate()
-        return out
 
 
 def make_symbol(coeffs: Mapping[int, complex]) -> LaurentSymbol:
@@ -198,23 +193,13 @@ def moments_from_function(
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    cap = quadrature.grid_cap()
-    m = min(max(int(start), 2 * (n_max + 1)), cap)
-    current = _grid_moments(w, n_max, m)
-    change = np.inf
-    while 2 * m <= cap:
-        m *= 2
-        doubled = _grid_moments(w, n_max, m)
-        change = float(np.max(np.abs(doubled - current)))
-        current = doubled
-        if change < tol:
-            break
-    else:
-        if change > fail_tol:
-            raise QuadratureError(
-                f"moment quadrature did not stagnate below {fail_tol:g} "
-                f"within the grid cap {cap} (last change {change:g})"
-            )
+    current, m = quadrature._double_until_stagnant(
+        lambda m: _grid_moments(w, n_max, m),
+        max(int(start), 2 * (n_max + 1)),
+        tol,
+        fail_tol,
+        "moment",
+    )
     values = list(current)
     values[0] = complex(values[0].real)
     return MomentSequence(tuple(values), m)
@@ -245,9 +230,40 @@ def target_sum(s: LaurentSymbol) -> tuple[float, float]:
 # --------------------------------------------------------------------------
 
 
+def stored_symbol(entries: Iterable[tuple[int, complex, int | str]]) -> LaurentSymbol:
+    """The symbol with l_k = value for each stored ``(k, value, where)`` entry.
+
+    The one rule set for stored coefficients, from symbol files and from
+    ``--coeff`` flags alike: k ≥ 0 (negative k is implied by l_{-k} = conj(l_k)),
+    each k at most once, and l_0 real.  A violation raises
+    :class:`SymbolParseError` located by ``where``: a file line number, or the
+    text of the flag that gave the entry.
+    """
+    stored: dict[int, complex] = {}
+    for k, value, where in entries:
+        if k < 0:
+            problem = "only k >= 0 may be stored; negative k is implied"
+        elif k in stored:
+            problem = f"duplicate coefficient k={k}"
+        elif k == 0 and value.imag != 0.0:
+            problem = "coefficient 0 must be real"
+        else:
+            stored[k] = complex(value.real) if k == 0 else value
+            continue
+        if isinstance(where, int):
+            raise SymbolParseError(problem, lineno=where)
+        raise SymbolParseError(f"{where}: {problem}")
+    bandwidth = max(stored, default=0)
+    return LaurentSymbol(tuple(stored.get(k, 0.0 + 0.0j) for k in range(bandwidth + 1)))
+
+
 def parse_symbol(text: str) -> LaurentSymbol:
     """Parse the plain-text symbol format (negative k implied by symmetry)."""
-    seen: dict[int, complex] = {}
+    return stored_symbol(_symbol_lines(text))
+
+
+def _symbol_lines(text: str):
+    """(k, l_k, line number) for each `k re im` line, in file order."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -262,20 +278,7 @@ def parse_symbol(text: str) -> LaurentSymbol:
             re, im = float(parts[1]), float(parts[2])
         except ValueError:
             raise SymbolParseError(f"could not parse {line!r}", lineno=lineno) from None
-        if k < 0:
-            raise SymbolParseError(
-                "only k >= 0 may be stored; negative k is implied", lineno=lineno
-            )
-        if k in seen:
-            raise SymbolParseError(f"duplicate coefficient k={k}", lineno=lineno)
-        if k == 0 and im != 0.0:
-            raise SymbolParseError("coefficient 0 must be real", lineno=lineno)
-        seen[k] = complex(re, im)
-    full = dict(seen)
-    for k, v in seen.items():
-        if k > 0:
-            full[-k] = v.conjugate()
-    return make_symbol(full)
+        yield k, complex(re, im), lineno
 
 
 def load_symbol(path) -> LaurentSymbol:
@@ -289,7 +292,7 @@ def format_symbol(s: LaurentSymbol) -> str:
         v = complex(s.coeffs[k])
         if k > 0 and v == 0:
             continue
-        lines.append(f"{k} {v.real:.17g} {v.imag:.17g}")
+        lines.append(f"{k} {fmt(v.real)} {fmt(v.imag)}")
     return "\n".join(lines) + "\n"
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import PositivityError
 from .opuc import RecursionState
 from .symbol import MomentSequence
-from .textio import CSV_SCHEMA
+from .textio import CSV_SCHEMA, fmt
 
 
 def assemble(m: MomentSequence, n: int) -> np.ndarray:
@@ -61,7 +61,7 @@ def log_det_minors(m: MomentSequence, n_max: int) -> np.ndarray:
     return 2.0 * np.cumsum(_log_chol_diag(assemble(m, n_max)))
 
 
-def _log_rho_sq(alphas) -> np.ndarray:
+def log_rho_sq(alphas) -> np.ndarray:
     """r_j = log(1-|α_j|²) = log ρ_j²."""
     return np.log1p(-np.abs(np.asarray(alphas, dtype=complex)) ** 2)
 
@@ -76,7 +76,7 @@ def log_dn_and_g(alphas, n_max: int, log_c0: float = 0.0) -> tuple[np.ndarray, n
     Every r_j is ≤ 0, so no sum cancels.  O(n_max + len(alphas)).
     """
     r = np.zeros(max(len(alphas), n_max + 1))
-    r[: len(alphas)] = _log_rho_sq(alphas)
+    r[: len(alphas)] = log_rho_sq(alphas)
     degrees = np.arange(n_max + 1)
     log_norm_excess = np.concatenate(([0.0], np.cumsum(r[:n_max])))
     log_dn = (degrees + 1) * log_c0 + np.cumsum(log_norm_excess)
@@ -113,13 +113,12 @@ class DeterminantLedger:
     def to_csv(self) -> str:
         lines = [
             CSV_SCHEMA,
-            f"# log_c0={self.log_c0:.17g}",
+            f"# log_c0={fmt(self.log_c0)}",
             "n,log_dn,ratio,g_n,f_running",
         ]
         for row in self.rows:
             lines.append(
-                f"{row.n},{row.log_dn:.17g},{row.ratio:.17g},"
-                f"{row.g_n:.17g},{row.f_running:.17g}"
+                f"{row.n},{fmt(row.log_dn)},{fmt(row.ratio)},{fmt(row.g_n)},{fmt(row.f_running)}"
             )
         return "\n".join(lines) + "\n"
 
@@ -143,7 +142,7 @@ def ledger(state: RecursionState, n_max: int | None = None) -> DeterminantLedger
         )
     log_c0 = float(np.log(state.c0))
     log_dn, log_g = log_dn_and_g(state.alphas, n_max, log_c0)
-    ratios = np.exp(log_c0 + np.cumsum(_log_rho_sq(state.alphas[: n_max + 1])))
+    ratios = np.exp(log_c0 + np.cumsum(log_rho_sq(state.alphas[: n_max + 1])))
     g_n = np.exp(log_g)
     rows = tuple(
         LedgerRow(

@@ -171,14 +171,18 @@ ROUTE_AGREEMENT_FLOOR = 1e-13
 
 
 def routes_agree(a: float, b: float, rtol: float = ROUTE_AGREEMENT_TOL) -> bool:
-    return abs(a - b) <= max(rtol * max(abs(a), abs(b)), ROUTE_AGREEMENT_FLOOR)
+    """Whether two values of one log-determinant agree to ``rtol``; a nan or an
+    infinity agrees with nothing."""
+    return _relative_gap(a, b) <= rtol
 
 
 def _relative_gap(a: float, b: float) -> float:
-    scale = max(abs(a), abs(b))
-    if abs(a - b) <= ROUTE_AGREEMENT_FLOOR:
+    """|a - b| / max(|a|, |b|), 0 within the absolute floor, nan unless both are finite."""
+    gap = abs(a - b)
+    if gap <= ROUTE_AGREEMENT_FLOOR:
         return 0.0
-    return 0.0 if scale == 0.0 else abs(a - b) / scale
+    scale = max(abs(a), abs(b))
+    return gap / scale if scale > 0.0 else math.nan
 
 
 def error_slope_fit(rows) -> float | None:

@@ -122,6 +122,43 @@ class TestIdentitySuites:
         assert code == 0
         assert "feynman-hellman PASS" in text
 
+    def test_check_line_without_detail_has_no_parenthesis(self, tmp_path):
+        _, bs = run_cli(["bs-check", "--coeff", "1=0.5", "--nmax", "5"], tmp_path, "bs.txt")
+        _, fh = run_cli(["fh-check", "--coeff", "1=0.5", "--nmax", "3"], tmp_path, "fh.txt")
+        assert bs.splitlines()[-1] == "# check bs-approximation PASS"
+        assert fh.splitlines()[-1] == "# check feynman-hellman PASS"
+
+
+class TestSymbolInputs:
+    """``--coeff`` flags and symbol files obey one rule set."""
+
+    REJECTED = {
+        "duplicate k": (["1=0.2", "1=0.3"], "1 0.2 0\n1 0.3 0\n"),
+        "negative k": (["-1=0.2"], "-1 0.2 0\n"),
+        "complex l_0": (["0=0.1,0.2"], "0 0.1 0.2\n"),
+        "too many fields": (["1=0.1,0.2,0.3"], "1 0.1 0.2 0.3\n"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REJECTED))
+    def test_rejected_through_both_paths(self, tmp_path, capsys, case):
+        flags, text = self.REJECTED[case]
+        argv = ["moments"] + [f"--coeff={flag}" for flag in flags]
+        assert cli.main(argv) == 2
+        assert repr(flags[-1]) in capsys.readouterr().err
+        path = tmp_path / "sym.txt"
+        path.write_text(text)
+        assert cli.main(["moments", "--symbol", str(path)]) == 2
+
+    def test_same_coefficients_give_the_same_symbol(self, tmp_path):
+        path = tmp_path / "sym.txt"
+        path.write_text("# k re im\n2 0.1 -0.3\n0 -0.2 0\n1 0.05 0.02\n")
+        flags = ["--coeff", "2=0.1,-0.3", "--coeff", "0=-0.2", "--coeff", "1=0.05,0.02"]
+        from_flags = cli._symbol_from_args(cli.build_parser().parse_args(["moments", *flags]))
+        from_file = cli._symbol_from_args(
+            cli.build_parser().parse_args(["moments", "--symbol", str(path)])
+        )
+        assert from_flags.coeffs == from_file.coeffs == (-0.2 + 0j, 0.05 + 0.02j, 0.1 - 0.3j)
+
 
 class TestDeterminism:
     def test_verify_byte_identical_across_runs(self, tmp_path):

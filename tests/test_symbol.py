@@ -16,6 +16,7 @@ from szego_lab import (
     moments,
     target_sum,
 )
+from szego_lab.quadrature import adaptive_circle_mean
 from szego_lab.symbol import (
     MomentSequence,
     format_symbol,
@@ -113,6 +114,13 @@ class TestMoments:
         with pytest.raises(ValueError):
             moments(cos_symbol, -1)
 
+    def test_both_doubling_quadratures_name_the_cap(self, monkeypatch, cos_symbol):
+        monkeypatch.setenv("SZEGO_LAB_GRID_MAX", "64")
+        with pytest.raises(QuadratureError, match="moment quadrature .* grid cap 64 "):
+            moments(cos_symbol, 4)
+        with pytest.raises(QuadratureError, match="circle quadrature .* grid cap 64 "):
+            adaptive_circle_mean(lambda th: eval_weight(cos_symbol, th))
+
 
 class TestMomentSequence:
     def test_rejects_nonpositive_c0(self):
@@ -183,3 +191,8 @@ class TestSymbolFiles:
     def test_rejects_complex_constant(self):
         with pytest.raises(SymbolParseError):
             parse_symbol("0 0.5 0.1\n")
+
+    def test_rejects_duplicate_k_at_its_line(self):
+        with pytest.raises(SymbolParseError) as err:
+            parse_symbol("0 0.3 0\n1 0.2 0\n1 0.1 0\n")
+        assert err.value.lineno == 3

@@ -104,6 +104,14 @@ class TestStrongSzegoReport:
         with pytest.raises(InvariantViolation, match="routes disagree at n=0"):
             strong_szego_report(cos_symbol, 5)
 
+    def test_route_gap_rejects_every_nonfinite_value(self):
+        inf, nan = math.inf, math.nan
+        for a, b in [(0.0, nan), (nan, 1.0), (inf, 1.0), (1.0, -inf), (inf, inf), (-inf, inf)]:
+            assert math.isnan(verify._relative_gap(a, b)), (a, b)
+            assert not verify.routes_agree(a, b), (a, b)
+        assert verify.routes_agree(0.0, 1e-14) and verify.routes_agree(1.0, 1.0 + 1e-11)
+        assert not verify.routes_agree(1.0, 1.0 + 1e-9)
+
     def test_csv_and_json_forms(self, cos_symbol):
         rep = strong_szego_report(cos_symbol, 4)
         text = rep.to_csv()
