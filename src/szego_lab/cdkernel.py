@@ -94,12 +94,7 @@ def kernel_diag_boundary(states: Sequence[RecursionState], n: int, theta) -> np.
     return float(values) if np.isscalar(theta) else values
 
 
-def normalization_check(
-    states: Sequence[RecursionState],
-    s: LaurentSymbol,
-    n: int,
-    start: int = 512,
-) -> float:
+def normalization_check(states: Sequence[RecursionState], s: LaurentSymbol, n: int) -> float:
     """Kernel normalization through the boundary identity; returns ≈ 1.
 
     Integrating the diagonal boundary form against dμ must reproduce
@@ -110,5 +105,5 @@ def normalization_check(
     def integrand(theta: np.ndarray) -> np.ndarray:
         return kernel_diag_boundary(states, n, theta) * eval_weight(s, theta)
 
-    value, _ = quadrature.adaptive_circle_mean(integrand, start=start)
+    value, _ = quadrature.adaptive_circle_mean(integrand, start=512)
     return float(np.real(value)) / (n + 1)

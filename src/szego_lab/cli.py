@@ -10,6 +10,7 @@ digits.  ``SZEGO_LAB_GRID_MAX`` caps quadrature grid doubling.
 from __future__ import annotations
 
 import argparse
+import cmath
 import sys
 
 import numpy as np
@@ -95,6 +96,8 @@ def load_moments_csv(path) -> MomentSequence:
                 value = complex(float(parts[1]), float(parts[2]))
             except ValueError:
                 raise SymbolParseError(f"could not parse {line!r}", lineno=lineno) from None
+            if not cmath.isfinite(value):
+                raise SymbolParseError(f"moment {n} is not finite", lineno=lineno)
             if n < 0 or n in values:
                 raise SymbolParseError(f"bad moment index {n}", lineno=lineno)
             values[n] = value

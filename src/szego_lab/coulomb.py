@@ -67,15 +67,15 @@ def vandermonde_sq(theta) -> float:
     return float(np.exp(_log_pair_gaps(theta)))
 
 
-def exact_Dn(s: LaurentSymbol, n: int, grid_m: int = 512) -> CoulombEstimate:
+def exact_Dn(s: LaurentSymbol, n: int) -> CoulombEstimate:
     """Tensor-product quadrature of the gas integral for n ≤ 2.
 
-    The grid is doubled once as a stability pass; a relative shift above
+    The 512-point grid is doubled once as a stability pass; a relative shift above
     1e-8 between the two grids is reported as non-convergence.
     """
     if not 0 <= n <= EXACT_MAX_N:
         raise ValueError(f"exact quadrature supports n in 0..{EXACT_MAX_N}, got {n}")
-    m = max(int(grid_m), 512)
+    m = 512
     first = _exact_on_grid(s, n, m)
     second = _exact_on_grid(s, n, 2 * m)
     if abs(second - first) > 1e-8 * abs(second):

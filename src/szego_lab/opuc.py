@@ -116,7 +116,7 @@ def step(state: RecursionState, m: MomentSequence) -> RecursionState:
     c = m.nonnegative()
     alpha_bar = complex(np.vdot(c[1 : n + 2], state.phi.coeffs)) / state.norm_sq
     alpha = alpha_bar.conjugate()
-    if abs(alpha) >= 1.0:
+    if not abs(alpha) < 1.0:
         raise PositivityError(
             f"|alpha_{n}| = {abs(alpha):.6g} >= 1: moment matrix not positive "
             "definite or accuracy exhausted"
@@ -173,7 +173,7 @@ def inverse_step(
     means the supplied α_n does not belong to this polynomial pair.
     """
     alpha = complex(alpha)
-    if abs(alpha) >= 1.0:
+    if not abs(alpha) < 1.0:
         raise PositivityError(f"|alpha| = {abs(alpha):.6g} >= 1 in inverse step")
     rho_sq = 1.0 - abs(alpha) ** 2
     coeffs = np.asarray(phi_next.coeffs, dtype=complex)

@@ -48,47 +48,51 @@ def circle_mean(values: np.ndarray) -> complex:
     return np.mean(values)
 
 
-def _double_until_stagnant(evaluate, start: int, tol: float, fail_tol: float, what: str):
-    """``evaluate(m)`` for m = start, 2·start, ... up to ``SZEGO_LAB_GRID_MAX``,
-    until two successive values differ by less than ``tol`` in every entry.
+def _double_until_stagnant(evaluate, start: int, what: str):
+    """``evaluate(m)`` for m = max(start, 64), then doubling up to
+    ``SZEGO_LAB_GRID_MAX``, until two successive values differ by less than
+    ``STAGNATION_TOL`` in every entry.
 
     Returns the last value and its m.  Raises :class:`QuadratureError` naming
-    ``what`` if the cap is reached with the last change above ``fail_tol``.
+    ``what`` if a value is not finite, or if the cap is reached with the last
+    change above ``FAILURE_TOL``.
     """
     cap = grid_cap()
-    m = min(start, cap)
-    value = evaluate(m)
+
+    def finite(m: int):
+        value = evaluate(m)
+        if not np.all(np.isfinite(value)):
+            raise QuadratureError(f"{what} quadrature gave a non-finite value on the grid m={m}")
+        return value
+
+    m = min(max(start, 64), cap)
+    value = finite(m)
     change = np.inf
     while 2 * m <= cap:
         m *= 2
-        new = evaluate(m)
+        new = finite(m)
         change = float(np.max(np.abs(new - value)))
         value = new
-        if change < tol:
+        if change < STAGNATION_TOL:
             return value, m
-    if change > fail_tol:
+    if change > FAILURE_TOL:
         raise QuadratureError(
-            f"{what} quadrature did not stagnate below {fail_tol:g} "
+            f"{what} quadrature did not stagnate below {FAILURE_TOL:g} "
             f"within the grid cap {cap} (last change {change:g})"
         )
     return value, m
 
 
 def adaptive_circle_mean(
-    f: Callable[[np.ndarray], np.ndarray],
-    start: int = 64,
-    tol: float = STAGNATION_TOL,
-    fail_tol: float = FAILURE_TOL,
+    f: Callable[[np.ndarray], np.ndarray], start: int = 64
 ) -> tuple[complex, int]:
     """Doubling uniform-grid quadrature of ∫ f(θ) dθ/2π.
 
     Returns the stagnated value and the grid size that produced it.  Raises
     :class:`QuadratureError` if the cap is reached while successive values
-    still differ by more than ``fail_tol``.
+    still differ by more than ``FAILURE_TOL``, or if a value is not finite.
     """
-    return _double_until_stagnant(
-        lambda m: circle_mean(f(angles(m))), max(int(start), 1), tol, fail_tol, "circle"
-    )
+    return _double_until_stagnant(lambda m: circle_mean(f(angles(m))), start, "circle")
 
 
 def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:

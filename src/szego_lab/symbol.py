@@ -175,30 +175,24 @@ def _grid_moments(w: Callable[[np.ndarray], np.ndarray], n_max: int, m: int) -> 
     spectrum = np.fft.rfft(values) / m
     if n_max >= spectrum.size:
         raise QuadratureError(f"grid of {m} points cannot resolve moment order {n_max}")
-    return spectrum[: n_max + 1]
+    # a copy, not a view: the rest of the spectrum is freed before the next grid
+    return spectrum[: n_max + 1].copy()
 
 
 def moments_from_function(
-    w: Callable[[np.ndarray], np.ndarray],
-    n_max: int,
-    start: int = 64,
-    tol: float = quadrature.STAGNATION_TOL,
-    fail_tol: float = quadrature.FAILURE_TOL,
+    w: Callable[[np.ndarray], np.ndarray], n_max: int, start: int = 64
 ) -> MomentSequence:
     """Moments c_0..c_{n_max} of a positive weight given as a grid-evaluable function.
 
     The m-point uniform rule (1/m) Σ_j e^{-inθ_j} w(θ_j) is applied via the FFT,
-    doubling m until no coefficient moves by more than ``tol`` or the grid cap
-    is exceeded; only n ≥ 0 is computed, so symmetry is exact.
+    doubling m until no coefficient moves by more than
+    ``quadrature.STAGNATION_TOL`` or the grid cap is exceeded; only n ≥ 0 is
+    computed, so symmetry is exact.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     current, m = quadrature._double_until_stagnant(
-        lambda m: _grid_moments(w, n_max, m),
-        max(int(start), 2 * (n_max + 1)),
-        tol,
-        fail_tol,
-        "moment",
+        lambda m: _grid_moments(w, n_max, m), max(int(start), 2 * (n_max + 1)), "moment"
     )
     values = list(current)
     values[0] = complex(values[0].real)
@@ -207,8 +201,9 @@ def moments_from_function(
 
 def moments(s: LaurentSymbol, n_max: int) -> MomentSequence:
     """Moments of w = e^L for a symbol, starting from m = max(64, 8(n_max+K))."""
-    start = max(64, 8 * (n_max + s.bandwidth))
-    return moments_from_function(lambda th: eval_weight(s, th), n_max, start=start)
+    return moments_from_function(
+        lambda th: eval_weight(s, th), n_max, start=8 * (n_max + s.bandwidth)
+    )
 
 
 def gi_truncate(s: LaurentSymbol, n: int) -> LaurentSymbol:

@@ -82,9 +82,7 @@ def inverse_coeffs(d: SzegoSeries, j_max: int) -> np.ndarray:
     return _series_exp(-d.log_series, j_max) / d.d0
 
 
-def alpha_from_D(
-    states: Sequence[RecursionState], d: SzegoSeries, n: int, start: int = 512
-) -> complex:
+def alpha_from_D(states: Sequence[RecursionState], d: SzegoSeries, n: int) -> complex:
     """α_n from the D-function integral, independent of the recursion route.
 
     α_n = -κ_∞ ∫ conj(Φ_{n+1}(e^{iθ})) D(e^{iθ})^{-1} dμ(θ) with
@@ -101,7 +99,7 @@ def alpha_from_D(
         return np.conj(phi_next(z)) * np.conj(eval_D(d, z))
 
     kappa_inf = 1.0 / d.d0
-    value, _ = quadrature.adaptive_circle_mean(integrand, start=start)
+    value, _ = quadrature.adaptive_circle_mean(integrand, start=512)
     return complex(-kappa_inf * value)
 
 
@@ -115,13 +113,13 @@ class DecayFit:
     window: tuple[int, ...]
 
 
-def decay_fit(alphas: Sequence[complex], floor: float = DECAY_FLOOR) -> DecayFit:
+def decay_fit(alphas: Sequence[complex]) -> DecayFit:
     """Fit the exponential decay rate of the Verblunsky coefficients.
 
     Requires at least 8 points above the double-precision floor.
     """
     mags = np.abs(np.asarray(alphas, dtype=complex))
-    usable = np.flatnonzero(mags > floor)
+    usable = np.flatnonzero(mags > DECAY_FLOOR)
     if len(usable) < 8:
         raise InsufficientDataError(
             f"decay fit needs >= 8 usable points, found {len(usable)}"
@@ -141,10 +139,9 @@ def decay_fit(alphas: Sequence[complex], floor: float = DECAY_FLOOR) -> DecayFit
     )
 
 
-def disk_integral_check(
-    d: SzegoSeries, r: float, n_radial: int = 64, n_angular: int = 256
-) -> float:
-    """(1/π) ∫_{|z|≤r} |∂_z log D|² d²z by Gauss–Legendre × uniform tensor rule.
+def disk_integral_check(d: SzegoSeries, r: float) -> float:
+    """(1/π) ∫_{|z|≤r} |∂_z log D|² d²z by a 64-radius Gauss–Legendre × 256-angle
+    uniform tensor rule.
 
     For an analytic symbol this equals Σ_{k≥1} k |l_k|² r^{2k}; the integrand
     |Σ k l_k z^{k-1}|² is a polynomial in z and z̄ of modest degree, so the
@@ -155,28 +152,23 @@ def disk_integral_check(
     if d.truncation == 0:
         return 0.0
     deriv = np.arange(1, d.truncation + 1) * d.log_series  # ∂_z log D coefficients
-    radii, weights = quadrature.gauss_legendre(n_radial, 0.0, r)
-    theta = quadrature.angles(n_angular)
+    radii, weights = quadrature.gauss_legendre(64, 0.0, r)
+    theta = quadrature.angles(256)
     z = radii[:, None] * np.exp(1j * theta)[None, :]
     values = np.abs(np.polynomial.polynomial.polyval(z, deriv)) ** 2
     angular_mean = values.mean(axis=1)  # (1/2π) ∫ dθ
     return float(2.0 * np.sum(weights * radii * angular_mean))
 
 
-def phi_star_convergence(
-    states: Sequence[RecursionState],
-    d: SzegoSeries,
-    grid: np.ndarray | None = None,
-) -> np.ndarray:
+def phi_star_convergence(states: Sequence[RecursionState], d: SzegoSeries) -> np.ndarray:
     """max_z |φ_n*(z) - D(z)^{-1}| per degree n, on a grid reaching past the circle.
 
-    The default grid is 16 radii × 64 angles inside |z| ≤ 1.05, probing the
+    The grid is 16 radii × 64 angles inside |z| ≤ 1.05, probing the
     analytic continuation of the convergence beyond the boundary.
     """
-    if grid is None:
-        radii = 1.05 * (np.arange(1, 17) / 16.0)
-        angles = quadrature.angles(64)
-        grid = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+    radii = 1.05 * (np.arange(1, 17) / 16.0)
+    angles = quadrature.angles(64)
+    grid = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
     target = 1.0 / eval_D(d, grid)
     out = np.empty(len(states))
     for i, state in enumerate(states):
@@ -185,11 +177,9 @@ def phi_star_convergence(
     return out
 
 
-def boundary_l2_error(
-    states: Sequence[RecursionState], d: SzegoSeries, grid_m: int = 512
-) -> np.ndarray:
-    """∫ |D φ_n* - 1|² dθ/2π per degree n, on a fixed uniform boundary grid."""
-    theta = quadrature.angles(grid_m)
+def boundary_l2_error(states: Sequence[RecursionState], d: SzegoSeries) -> np.ndarray:
+    """∫ |D φ_n* - 1|² dθ/2π per degree n, on a fixed 512-point uniform boundary grid."""
+    theta = quadrature.angles(512)
     z = np.exp(1j * theta)
     dv = eval_D(d, z)
     out = np.empty(len(states))

@@ -123,7 +123,7 @@ class DeterminantLedger:
         return "\n".join(lines) + "\n"
 
 
-def ledger(state: RecursionState, n_max: int | None = None) -> DeterminantLedger:
+def ledger(state: RecursionState, n_max: int) -> DeterminantLedger:
     """Ledger rows for n = 0..n_max from a recursion state holding the α's.
 
     G_n uses the probability-normalized convention G_n(dμ) = G_n(dμ/c_0),
@@ -132,8 +132,6 @@ def ledger(state: RecursionState, n_max: int | None = None) -> DeterminantLedger
     column D_{n+1}/D_n = c_0 Π_{j≤n}(1-|α_j|²) is available on every row.
     F equals that ratio and is carried as the same value.
     """
-    if n_max is None:
-        n_max = state.n - 1
     if n_max < 0:
         raise ValueError("ledger needs n_max >= 0")
     if len(state.alphas) < n_max + 1:

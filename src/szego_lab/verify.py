@@ -34,6 +34,8 @@ ROUTE_AGREEMENT_TOL = 1e-10
 G_BOUND_TOL = 1e-8
 MONOTONE_SLACK = 1e-12
 ERROR_FIT_FLOOR = 1e-12
+#: how closely a Bernstein–Szegő approximant must reproduce its data
+BS_APPROX_TOL = 1e-10
 
 
 # --------------------------------------------------------------------------
@@ -41,7 +43,7 @@ ERROR_FIT_FLOOR = 1e-12
 # --------------------------------------------------------------------------
 
 
-def bs_log_weight(a: float = 0.5, bandwidth: int = 48) -> LaurentSymbol:
+def bs_log_weight(a: float = 0.5) -> LaurentSymbol:
     """Log-weight of the single-coefficient Bernstein–Szegő measure.
 
     w(θ) = (1-a²)/|1-a e^{iθ}|² has log-weight coefficients l_0 = log(1-a²),
@@ -51,7 +53,7 @@ def bs_log_weight(a: float = 0.5, bandwidth: int = 48) -> LaurentSymbol:
     if not 0.0 < a < 1.0:
         raise ValueError("the pole parameter must lie in (0, 1)")
     coeffs = {0: math.log(1.0 - a * a)}
-    for k in range(1, bandwidth + 1):
+    for k in range(1, 49):
         coeffs[k] = a**k / k
         coeffs[-k] = a**k / k
     return make_symbol(coeffs)
@@ -81,24 +83,22 @@ def family_member(s: LaurentSymbol, t: float) -> tuple[LaurentSymbol, float]:
     """(symbol of w_t, c_t) with c_t = log ∫ e^{tL} dθ/2π, so ∫ w_t dθ/2π = 1."""
     st = scaled_symbol(s, t)
     mean_weight, _ = quadrature.adaptive_circle_mean(
-        lambda th: eval_weight(st, th), start=max(64, 8 * (s.bandwidth + 1))
+        lambda th: eval_weight(st, th), start=8 * (s.bandwidth + 1)
     )
     c_t = float(np.log(np.real(mean_weight)))
     shifted = (complex(st.coeffs[0].real - c_t),) + tuple(st.coeffs[1:])
     return LaurentSymbol(shifted), c_t
 
 
-def _c_t_derivative(s: LaurentSymbol, t: float) -> float:
-    """ċ_t = ∫ L e^{tL} dθ/2π / ∫ e^{tL} dθ/2π, by the same torus quadrature."""
+def _c_t_derivative(s: LaurentSymbol, t: float, c_t: float) -> float:
+    """ċ_t = ∫ L e^{tL} dθ/2π / ∫ e^{tL} dθ/2π, by the same torus quadrature;
+    the denominator is e^{c_t}, with c_t from :func:`family_member` at this t."""
     st = scaled_symbol(s, t)
     numer, _ = quadrature.adaptive_circle_mean(
         lambda th: eval_log_weight(s, th) * eval_weight(st, th),
-        start=max(64, 8 * (s.bandwidth + 1)),
+        start=8 * (s.bandwidth + 1),
     )
-    denom, _ = quadrature.adaptive_circle_mean(
-        lambda th: eval_weight(st, th), start=max(64, 8 * (s.bandwidth + 1))
-    )
-    return float(np.real(numer) / np.real(denom))
+    return float(np.real(numer) / np.exp(c_t))
 
 
 # --------------------------------------------------------------------------
@@ -286,34 +286,28 @@ class BSApproxBundle:
     alpha_tail_deviation: float
 
 
-def bs_approximation(
-    m: MomentSequence, level: int, n_alphas: int | None = None, tol: float = 1e-10
-) -> BSApproxBundle:
+def bs_approximation(m: MomentSequence, level: int) -> BSApproxBundle:
     """Build dμ^{(N)} and verify it reproduces the data it must reproduce.
 
     The approximant is a probability measure whose moments match those of
     the (normalized) input through order N and whose Verblunsky coefficients
-    match below N and vanish from N on.
+    match below N and vanish from N on, checked on α_0..α_{N+9} to
+    ``BS_APPROX_TOL``.
     """
     if level < 1:
         raise ValueError("approximation level must be >= 1")
-    if n_alphas is None:
-        n_alphas = level + 10
+    n_alphas = level + 10
     mn = m.normalized()
-    states = opuc.trajectory(mn, level)
-    phi_level = opuc.orthonormal(states[level])
+    state = opuc.run_to(mn, level)
+    phi_level = opuc.orthonormal(state)
 
     def weight(theta: np.ndarray) -> np.ndarray:
         values = np.polynomial.polynomial.polyval(np.exp(1j * theta), phi_level)
         return 1.0 / np.abs(values) ** 2
 
-    order = max(level, n_alphas)
-    new_m = moments_from_function(
-        weight, order, start=max(64, 8 * (order + level))
-    )
-    new_states = opuc.trajectory(new_m, n_alphas)
-    new_alphas = new_states[-1].alphas
-    old_alphas = states[level].alphas
+    new_m = moments_from_function(weight, n_alphas, start=8 * (n_alphas + level))
+    new_alphas = opuc.run_to(new_m, n_alphas).alphas
+    old_alphas = state.alphas
 
     mass = new_m.c0
     moment_dev = max(
@@ -325,17 +319,19 @@ def bs_approximation(
     tail_dev = max(
         (abs(new_alphas[j]) for j in range(level, n_alphas)), default=0.0
     )
-    if abs(mass - 1.0) > tol:
-        raise InvariantViolation(f"approximant mass {mass!r} is not 1 within {tol:g}")
-    if moment_dev > tol:
+    if abs(mass - 1.0) > BS_APPROX_TOL:
+        raise InvariantViolation(
+            f"approximant mass {mass!r} is not 1 within {BS_APPROX_TOL:g}"
+        )
+    if moment_dev > BS_APPROX_TOL:
         raise InvariantViolation(
             f"approximant moments deviate by {moment_dev:g} through order {level}"
         )
-    if head_dev > tol:
+    if head_dev > BS_APPROX_TOL:
         raise InvariantViolation(
             f"approximant alphas below level deviate by {head_dev:g}"
         )
-    if tail_dev > tol:
+    if tail_dev > BS_APPROX_TOL:
         raise InvariantViolation(
             f"approximant alphas from level on reach {tail_dev:g}, expected 0"
         )
@@ -452,11 +448,11 @@ def feynman_hellman_check(
     """
     if not 0.0 < t < 1.0:
         raise ValueError("t must lie strictly between 0 and 1")
-    member, _ = family_member(s, t)
+    member, c_t = family_member(s, t)
     m = moments(member, max(n, 1))
     state = opuc.run_to(m, n)
     phi_n = opuc.orthonormal(state)
-    c_dot = _c_t_derivative(s, t)
+    c_dot = _c_t_derivative(s, t, c_t)
 
     def integrand(theta: np.ndarray) -> np.ndarray:
         values = np.polynomial.polynomial.polyval(np.exp(1j * theta), phi_n)
@@ -464,7 +460,7 @@ def feynman_hellman_check(
         return np.abs(values) ** 2 * (log_l - c_dot) * eval_weight(member, theta)
 
     analytic_cplx, _ = quadrature.adaptive_circle_mean(
-        integrand, start=max(64, 8 * (n + s.bandwidth + 1))
+        integrand, start=8 * (n + s.bandwidth + 1)
     )
     analytic = float(np.real(analytic_cplx))
 
@@ -490,14 +486,12 @@ class IntegratedIdentityResult:
     limit_residual: float
 
 
-def integrated_identity_check(
-    s: LaurentSymbol, n: int, t_nodes: int = 16
-) -> IntegratedIdentityResult:
+def integrated_identity_check(s: LaurentSymbol, n: int) -> IntegratedIdentityResult:
     """Integrated derivative identity for log D_n, plus its n → ∞ limit form.
 
     log D_n(w_1) must equal (n+1) log ‖Φ_{n+1}‖²_{t=1} minus the double
     integral over t and θ of (d/dt log w_t) ∂_r|φ*_{n+1}(re^{iθ}; w_t)|²|_{r=1} w_t;
-    the t-integral uses Gauss–Legendre (the integrand is analytic in t), the
+    the t-integral uses 16-node Gauss–Legendre (the integrand is analytic in t), the
     θ-integral the spectral grid.  The limit form is the Parseval identity
     ∫ L · Re(Σ k l_k e^{ikθ}) dθ/2π = Σ k|l_k|².
     """
@@ -508,14 +502,13 @@ def integrated_identity_check(
     log_dn_direct = toeplitz.log_det_direct(toeplitz.assemble(m1, n))
     norm_term = (n + 1) * float(np.log(opuc.run_to(m1, n + 1).norm_sq))
 
-    nodes, weights = quadrature.gauss_legendre(t_nodes, 0.0, 1.0)
+    nodes, weights = quadrature.gauss_legendre(16, 0.0, 1.0)
     integral = 0.0
     for t_i, w_i in zip(nodes, weights):
-        member, _ = family_member(s, float(t_i))
+        member, c_t = family_member(s, float(t_i))
         m_t = moments(member, n + 1)
-        states = opuc.trajectory(m_t, n + 1)
-        star = opuc.orthonormal_star(states[n + 1])
-        c_dot = _c_t_derivative(s, float(t_i))
+        star = opuc.orthonormal_star(opuc.run_to(m_t, n + 1))
+        c_dot = _c_t_derivative(s, float(t_i), c_t)
 
         def integrand(theta: np.ndarray) -> np.ndarray:
             z = np.exp(1j * theta)
@@ -524,7 +517,7 @@ def integrated_identity_check(
             return (log_l - c_dot) * du * eval_weight(member, theta)
 
         value, _ = quadrature.adaptive_circle_mean(
-            integrand, start=max(64, 8 * (n + s.bandwidth + 2))
+            integrand, start=8 * (n + s.bandwidth + 2)
         )
         integral += float(w_i) * float(np.real(value))
     rhs = norm_term - integral
@@ -543,7 +536,7 @@ def integrated_identity_check(
         )
 
     limit_value_cplx, _ = quadrature.adaptive_circle_mean(
-        limit_integrand, start=max(64, 8 * (2 * s.bandwidth + 1))
+        limit_integrand, start=8 * (2 * s.bandwidth + 1)
     )
     limit_value = float(np.real(limit_value_cplx))
     return IntegratedIdentityResult(

@@ -51,6 +51,13 @@ class TestMoments:
         monkeypatch.setenv("SZEGO_LAB_GRID_MAX", "64")
         assert cli.main(["moments", "--coeff", "1=0.5", "--nmax", "4"]) == 3
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_weight_exits_3(self, capsys):
+        assert cli.main(["moments", "--coeff", "0=800", "--nmax", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
+
 
 class TestVerify:
     def test_zero_weight_passes(self, tmp_path):
@@ -86,6 +93,12 @@ class TestVerify:
         bad = tmp_path / "m.csv"
         bad.write_text("0,1\n")
         assert cli.main(["verify", "--moments", str(bad)]) == 2
+
+    def test_nan_moment_exits_2_naming_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "m.csv"
+        bad.write_text("n,re,im\n0,1,0\n1,nan,0\n2,0.1,0\n")
+        assert cli.main(["verify", "--moments", str(bad)]) == 2
+        assert "line 3" in capsys.readouterr().err
 
 
 class TestCoulomb:

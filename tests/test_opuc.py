@@ -87,6 +87,11 @@ class TestStep:
         with pytest.raises(PositivityError):
             step(init_state(bad), bad)
 
+    def test_nan_alpha_surfaces_as_positivity_error(self):
+        bad = MomentSequence((1.0, np.nan, 0.1))
+        with pytest.raises(PositivityError):
+            step(init_state(bad), bad)
+
 
 class TestRunTo:
     def test_geometric_is_a_single_coefficient_measure(self):
@@ -195,6 +200,11 @@ class TestInverseStep:
         phi_1 = MonicPoly(np.array([-0.5, 1.0], dtype=complex))
         with pytest.raises(PositivityError):
             inverse_step(phi_1, reversed_conj(phi_1.coeffs), 1.2)
+
+    def test_nan_alpha_is_rejected(self):
+        phi_1 = MonicPoly(np.array([-0.5, 1.0], dtype=complex))
+        with pytest.raises(PositivityError):
+            inverse_step(phi_1, reversed_conj(phi_1.coeffs), np.nan)
 
 
 class TestZeros:

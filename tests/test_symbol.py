@@ -121,6 +121,14 @@ class TestMoments:
         with pytest.raises(QuadratureError, match="circle quadrature .* grid cap 64 "):
             adaptive_circle_mean(lambda th: eval_weight(cos_symbol, th))
 
+    def test_both_doubling_quadratures_stop_at_a_non_finite_value(self):
+        overflow = make_symbol({0: 800.0})
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(QuadratureError, match="moment quadrature .* non-finite .*m=64$"):
+                moments(overflow, 1)
+            with pytest.raises(QuadratureError, match="circle quadrature .* non-finite .*m=64$"):
+                adaptive_circle_mean(lambda th: eval_weight(overflow, th))
+
 
 class TestMomentSequence:
     def test_rejects_nonpositive_c0(self):
