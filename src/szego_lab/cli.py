@@ -153,9 +153,8 @@ def _verify_checks_from_moments(m: MomentSequence, n_max: int) -> list[tuple[str
     log_c0 = float(np.log(m.c0))
     alphas = np.asarray(states[-1].alphas)
     log_product, log_g = toeplitz.log_dn_and_g(alphas, n_top, log_c0)
-    worst = 0.0
-    for direct, product in zip(log_direct.tolist(), log_product.tolist()):
-        worst = max(worst, verify._relative_gap(direct, product))
+    gaps = [verify._relative_gap(d, p) for d, p in zip(log_direct.tolist(), log_product.tolist())]
+    worst = float(np.max(gaps))  # propagates a nan gap (a non-finite route); max() drops it
     checks.append(
         (
             "route-agreement",

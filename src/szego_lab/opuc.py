@@ -6,8 +6,9 @@ the moments through the bilinear form ⟨z^a, z^b⟩ = c_{a-b}.  Each step reads
 the moments once, in the O(n) sum ⟨1, zΦ_n⟩ = Σ_b Φ_n[b] c_{-b-1}, which
 equals ⟨Φ_n*, zΦ_n⟩ because zΦ_n is orthogonal to z, ..., z^n.  Φ_n* is
 never stored: a state derives it from Φ_n by the reversal involution.
-:func:`run_to` keeps only the current state (O(N) memory); :func:`trajectory`
-keeps every state for callers that need each Φ_n.  :func:`moment_gram` and
+:func:`run_to` keeps only the current coefficients and the α's (O(N) memory)
+and builds one state at the end; :func:`trajectory` keeps every state for
+callers that need each Φ_n.  :func:`moment_gram` and
 :func:`inner` give the dense form of the same inner product, for checks.
 """
 
@@ -102,36 +103,43 @@ def init_state(m: MomentSequence) -> RecursionState:
     return RecursionState(n=0, phi=one, norm_sq=m.c0, alphas=(), c0=m.c0)
 
 
-def step(state: RecursionState, m: MomentSequence) -> RecursionState:
-    """One Szegő step: extract α_n from the moments and advance to degree n+1.
+def _advance(
+    coeffs: np.ndarray, norm_sq: float, c: np.ndarray, n: int
+) -> tuple[np.ndarray, float, complex]:
+    """One Szegő step on bare data: (Φ_{n+1}, ‖Φ_{n+1}‖², α_n) from (Φ_n, ‖Φ_n‖²).
 
-    ᾱ_n = ⟨Φ_n*, zΦ_n⟩/‖Φ_n‖² by orthogonality of Φ_{n+1} to Φ_n*, and
-    ⟨Φ_n*, zΦ_n⟩ = ⟨1, zΦ_n⟩ = Σ_b Φ_n[b] c_{-b-1}; then
+    ``coeffs`` holds Φ_n in ascending order and ``c`` the moments c_0..c_{n+1}
+    or more.  ᾱ_n = ⟨Φ_n*, zΦ_n⟩/‖Φ_n‖² by orthogonality of Φ_{n+1} to Φ_n*,
+    and ⟨Φ_n*, zΦ_n⟩ = ⟨1, zΦ_n⟩ = Σ_b Φ_n[b] c_{-b-1}; then
     Φ_{n+1} = zΦ_n - ᾱ_n Φ_n* and ‖Φ_{n+1}‖² = (1-|α_n|²)‖Φ_n‖².  A redundant
     cross-check confirms α_n = -conj(Φ_{n+1}(0)).
     """
-    n = state.n
-    if m.order < n + 1:
-        raise ValueError(f"step from degree {n} needs moments up to {n + 1}, have {m.order}")
-    c = m.nonnegative()
-    alpha_bar = complex(np.vdot(c[1 : n + 2], state.phi.coeffs)) / state.norm_sq
+    alpha_bar = complex(np.vdot(c[1 : n + 2], coeffs)) / norm_sq
     alpha = alpha_bar.conjugate()
     if not abs(alpha) < 1.0:
         raise PositivityError(
             f"|alpha_{n}| = {abs(alpha):.6g} >= 1: moment matrix not positive "
             "definite or accuracy exhausted"
         )
-    next_coeffs = np.concatenate([np.zeros(1, dtype=complex), state.phi.coeffs])
-    next_coeffs[: n + 1] -= alpha_bar * state.phi_star
-    phi_next = MonicPoly(next_coeffs)
-    if abs(alpha - (-np.conj(phi_next.coeffs[0]))) > ALPHA_CROSSCHECK_TOL:
+    next_coeffs = np.concatenate([np.zeros(1, dtype=complex), coeffs])
+    next_coeffs[: n + 1] -= alpha_bar * np.conj(coeffs[::-1])  # ᾱ_n Φ_n*
+    if abs(alpha - (-np.conj(next_coeffs[0]))) > ALPHA_CROSSCHECK_TOL:
         raise RecursionConsistencyError(
             f"alpha_{n} disagrees with -conj(Phi_{n + 1}(0)) beyond {ALPHA_CROSSCHECK_TOL:g}"
         )
+    return next_coeffs, norm_sq * (1.0 - abs(alpha) ** 2), alpha
+
+
+def step(state: RecursionState, m: MomentSequence) -> RecursionState:
+    """One Szegő step: extract α_n from the moments and advance to degree n+1."""
+    n = state.n
+    if m.order < n + 1:
+        raise ValueError(f"step from degree {n} needs moments up to {n + 1}, have {m.order}")
+    coeffs, norm_sq, alpha = _advance(state.phi.coeffs, state.norm_sq, m.nonnegative(), n)
     return RecursionState(
         n=n + 1,
-        phi=phi_next,
-        norm_sq=state.norm_sq * (1.0 - abs(alpha) ** 2),
+        phi=MonicPoly(coeffs),
+        norm_sq=norm_sq,
         alphas=state.alphas + (alpha,),
         c0=state.c0,
     )
@@ -145,12 +153,19 @@ def _check_target(m: MomentSequence, n: int) -> None:
 
 
 def run_to(m: MomentSequence, n: int) -> RecursionState:
-    """The state of degree n, iterating :func:`step` and keeping only the current state."""
+    """The state of degree n: the steps of :func:`step` on a bare coefficient
+    array and a list of α's, with one :class:`RecursionState` built at the end."""
     _check_target(m, n)
-    state = init_state(m)
-    for _ in range(n):
-        state = step(state, m)
-    return state
+    c = m.nonnegative()
+    coeffs = np.ones(1, dtype=complex)
+    norm_sq = m.c0
+    alphas = []
+    for k in range(n):
+        coeffs, norm_sq, alpha = _advance(coeffs, norm_sq, c, k)
+        alphas.append(alpha)
+    return RecursionState(
+        n=n, phi=MonicPoly(coeffs), norm_sq=norm_sq, alphas=tuple(alphas), c0=m.c0
+    )
 
 
 def trajectory(m: MomentSequence, n: int) -> list[RecursionState]:

@@ -51,11 +51,16 @@ def circle_mean(values: np.ndarray) -> complex:
 def _double_until_stagnant(evaluate, start: int, what: str):
     """``evaluate(m)`` for m = max(start, 64), then doubling up to
     ``SZEGO_LAB_GRID_MAX``, until two successive values differ by less than
-    ``STAGNATION_TOL`` in every entry.
+    ``STAGNATION_TOL`` of the largest entry, or of 1 if that is larger.
+
+    The change is max|new - value| / max(1, max|new|): values of size at most 1
+    stop on the absolute change, larger ones on the change relative to their
+    largest entry, so the rule never asks for accuracy below rounding.  For
+    moments the largest entry is c_0, since |c_n| <= c_0.
 
     Returns the last value and its m.  Raises :class:`QuadratureError` naming
     ``what`` if a value is not finite, or if the cap is reached with the last
-    change above ``FAILURE_TOL``.
+    scaled change above ``FAILURE_TOL``.
     """
     cap = grid_cap()
 
@@ -71,7 +76,7 @@ def _double_until_stagnant(evaluate, start: int, what: str):
     while 2 * m <= cap:
         m *= 2
         new = finite(m)
-        change = float(np.max(np.abs(new - value)))
+        change = float(np.max(np.abs(new - value)) / max(1.0, np.max(np.abs(new))))
         value = new
         if change < STAGNATION_TOL:
             return value, m
@@ -90,7 +95,8 @@ def adaptive_circle_mean(
 
     Returns the stagnated value and the grid size that produced it.  Raises
     :class:`QuadratureError` if the cap is reached while successive values
-    still differ by more than ``FAILURE_TOL``, or if a value is not finite.
+    still differ by more than ``FAILURE_TOL`` times max(1, |value|), or if a
+    value is not finite.
     """
     return _double_until_stagnant(lambda m: circle_mean(f(angles(m))), start, "circle")
 

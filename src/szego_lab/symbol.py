@@ -185,9 +185,9 @@ def moments_from_function(
     """Moments c_0..c_{n_max} of a positive weight given as a grid-evaluable function.
 
     The m-point uniform rule (1/m) Σ_j e^{-inθ_j} w(θ_j) is applied via the FFT,
-    doubling m until no coefficient moves by more than
-    ``quadrature.STAGNATION_TOL`` or the grid cap is exceeded; only n ≥ 0 is
-    computed, so symmetry is exact.
+    doubling m until no moment moves by more than ``quadrature.STAGNATION_TOL``
+    times max(1, c_0) (every |c_n| ≤ c_0) or the grid cap is exceeded; only
+    n ≥ 0 is computed, so symmetry is exact.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")

@@ -1,8 +1,11 @@
 """Command-line surface: subcommands, exit codes, deterministic output."""
 
+import numpy as np
 import pytest
 
-from szego_lab import cli
+from szego_lab import cli, toeplitz
+
+from conftest import bessel_i
 
 
 def run_cli(args, tmp_path, name="out.txt"):
@@ -51,6 +54,13 @@ class TestMoments:
         monkeypatch.setenv("SZEGO_LAB_GRID_MAX", "64")
         assert cli.main(["moments", "--coeff", "1=0.5", "--nmax", "4"]) == 3
 
+    def test_large_amplitude_stops_at_the_rounding_floor_of_c0(self, tmp_path):
+        # c_0 = I_0(20) ≈ 4.4e7: the grid stops once a change is 1e-14 of c_0
+        code, text = run_cli(["moments", "--coeff", "1=10", "--nmax", "4"], tmp_path)
+        assert code == 0
+        c0 = float(text.splitlines()[3].split(",")[1])
+        assert c0 == pytest.approx(bessel_i(0, 20.0), rel=1e-14)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_weight_exits_3(self, capsys):
         assert cli.main(["moments", "--coeff", "0=800", "--nmax", "1"]) == 3
@@ -88,6 +98,24 @@ class TestVerify:
         )
         assert code == 0
         assert "FAIL" not in text
+
+    def test_non_finite_route_gap_fails_route_agreement(self, tmp_path, monkeypatch):
+        rows = "\n".join(f"{n},{0.5 ** n},0" for n in range(13))
+        good = tmp_path / "moments.csv"
+        good.write_text("# schema=1\nn,re,im\n" + rows + "\n")
+        minors = toeplitz.log_det_minors
+
+        def broken(m, n_max):
+            log_direct = minors(m, n_max).copy()
+            log_direct[4] = -np.inf
+            return log_direct
+
+        monkeypatch.setattr(toeplitz, "log_det_minors", broken)
+        code, text = run_cli(
+            ["verify", "--moments", str(good), "--nmax", "10"], tmp_path, "r.txt"
+        )
+        assert code == 1
+        assert "# check route-agreement FAIL" in text
 
     def test_malformed_moments_file_exits_2(self, tmp_path):
         bad = tmp_path / "m.csv"

@@ -126,6 +126,32 @@ class TestRunTo:
         usable = mags[mags > 1e-13]
         assert np.all(np.diff(np.log(usable)) < 0.0)
 
+    @pytest.mark.parametrize(
+        "name", ["lebesgue", "cosine", "two-band", "offset", "bernstein-szego"]
+    )
+    def test_is_the_last_state_of_the_trajectory_bitwise(self, suite, name):
+        m = moments(suite[name], 200)
+        state = run_to(m, 200)
+        last = trajectory(m, 200)[-1]
+        assert state.n == last.n == 200
+        assert state.alphas == last.alphas
+        assert np.array_equal(state.phi.coeffs, last.phi.coeffs)
+        assert state.norm_sq == last.norm_sq
+
+    def test_raises_at_the_degree_where_stepping_raises(self):
+        # c_0..c_3 of the geometric measure a = 0.5, then a c_4 that no
+        # positive measure has: α_3 is the first coefficient to leave the disk
+        m = MomentSequence((1.0, 0.5, 0.25, 0.125, 5.0))
+        state = init_state(m)
+        for _ in range(3):
+            state = step(state, m)
+        with pytest.raises(PositivityError) as stepped:
+            step(state, m)
+        with pytest.raises(PositivityError) as ran:
+            run_to(m, 4)
+        assert str(ran.value) == str(stepped.value)
+        assert "alpha_3" in str(ran.value)
+
 
 @pytest.fixture(scope="module")
 def offset_run(suite):
