@@ -122,7 +122,7 @@ def _advance(
             "definite or accuracy exhausted"
         )
     next_coeffs = np.concatenate([np.zeros(1, dtype=complex), coeffs])
-    next_coeffs[: n + 1] -= alpha_bar * np.conj(coeffs[::-1])  # ᾱ_n Φ_n*
+    next_coeffs[: n + 1] -= alpha_bar * reversed_conj(coeffs)
     if abs(alpha - (-np.conj(next_coeffs[0]))) > ALPHA_CROSSCHECK_TOL:
         raise RecursionConsistencyError(
             f"alpha_{n} disagrees with -conj(Phi_{n + 1}(0)) beyond {ALPHA_CROSSCHECK_TOL:g}"
