@@ -17,7 +17,6 @@ from .symbol import (
     load_symbol,
     make_symbol,
     moments,
-    save_symbol,
     target_sum,
 )
 from .opuc import (

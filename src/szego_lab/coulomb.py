@@ -3,8 +3,13 @@
 D_n equals the partition-function integral
 [(n+1)!]^{-1} ∫ |Π_{k<j}(z_k - z_j)|² e^{Σ L(θ_j)} Π dθ_j/2π over the
 (n+1)-torus, with z_j = e^{iθ_j}.  Low dimensions are handled by exact
-tensor quadrature and moderate dimensions by seeded uniform Monte Carlo;
-both carry the Vandermonde and the factorial prefactor in log space.
+tensor quadrature and moderate dimensions by seeded uniform Monte Carlo.
+Both form every pair gap from the coordinates of z = exp(iθ),
+|z_k - z_j|² = (x_k - x_j)² + (y_k - y_j)², with no trigonometry per pair.
+Monte Carlo takes each sample's z once, evaluates L on that same z through
+:func:`symbol.eval_log_weight_z`, carries the Vandermonde and the factorial
+prefactor in log space, and draws in batches of ``_MC_BATCH`` (8192) samples
+so that a batch's temporaries stay in cache.
 """
 
 from __future__ import annotations
@@ -17,12 +22,14 @@ import numpy as np
 
 from .errors import QuadratureError
 from .quadrature import angles
-from .symbol import LaurentSymbol, eval_log_weight
+from .symbol import LaurentSymbol, eval_log_weight, eval_log_weight_z
 
 EXACT_MAX_N = 2
 MC_MAX_N = 8
 MC_MIN_SAMPLES = 10_000
-_MC_BATCH = 200_000
+#: samples per Monte Carlo batch: small enough that a batch's temporaries stay
+#: in a core's L2 cache; draws split across batches give the same stream
+_MC_BATCH = 8192
 
 
 @dataclass(frozen=True)
@@ -47,16 +54,30 @@ class CoulombEstimate:
         }
 
 
-def _log_pair_gaps(theta: np.ndarray) -> np.ndarray:
-    """Σ_{k<j} log |e^{iθ_k} - e^{iθ_j}|² along the last axis of an (..., n+1) array.
+def _sq_gaps(xa, ya, xb, yb):
+    """|z_a - z_b|² = (x_a - x_b)² + (y_a - y_b)², broadcast over the coordinates."""
+    dx = xa - xb
+    dy = ya - yb
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
 
-    Uses |e^{ia} - e^{ib}|² = 4 sin²((a-b)/2); coincident angles contribute -inf.
+
+def _log_vandermonde_sq(z: np.ndarray) -> np.ndarray:
+    """Σ_{k<j} log |z_k - z_j|² over the first axis of an (n+1, ...) array of points.
+
+    The gaps come from the coordinates z = x + iy, one row of pairs (k, k+1..n)
+    at a time; coincident points contribute -inf.
     """
-    theta = np.asarray(theta, dtype=float)
-    k, j = np.triu_indices(theta.shape[-1], k=1)
-    gaps = 4.0 * np.sin(0.5 * (theta[..., k] - theta[..., j])) ** 2
+    x = np.ascontiguousarray(z.real)
+    y = np.ascontiguousarray(z.imag)
+    total = np.zeros(z.shape[1:])
     with np.errstate(divide="ignore"):
-        return np.sum(np.log(gaps), axis=-1)
+        for k in range(z.shape[0] - 1):
+            gaps = _sq_gaps(x[k], y[k], x[k + 1 :], y[k + 1 :])
+            total += np.sum(np.log(gaps, out=gaps), axis=0)
+    return total
 
 
 def vandermonde_sq(theta) -> float:
@@ -64,7 +85,7 @@ def vandermonde_sq(theta) -> float:
     theta = np.asarray(theta, dtype=float)
     if theta.size < 2:
         return 1.0
-    return float(np.exp(_log_pair_gaps(theta)))
+    return float(np.exp(_log_vandermonde_sq(np.exp(1j * theta).T)))
 
 
 def exact_Dn(s: LaurentSymbol, n: int) -> CoulombEstimate:
@@ -97,7 +118,9 @@ def _exact_on_grid(s: LaurentSymbol, n: int, m: int) -> float:
     w = np.exp(np.asarray(eval_log_weight(s, theta), dtype=float))
     if n == 0:
         return float(np.mean(w))
-    gaps = 4.0 * np.sin(0.5 * (theta[:, None] - theta[None, :])) ** 2
+    z = np.exp(1j * theta)
+    x, y = z.real, z.imag
+    gaps = _sq_gaps(x[:, None], y[:, None], x[None, :], y[None, :])
     if n == 1:
         total = w @ gaps @ w
         return float(total / (2.0 * m**2))
@@ -121,8 +144,9 @@ def _mc_worker(task) -> tuple[float, float, int]:
     while done < count:
         batch = min(_MC_BATCH, count - done)
         theta = rng.uniform(0.0, 2.0 * np.pi, size=(batch, n + 1))
-        log_f = _log_pair_gaps(theta)
-        log_f += np.sum(np.asarray(eval_log_weight(s, theta)), axis=-1)
+        z = np.exp(1j * theta)
+        log_f = _log_vandermonde_sq(z.T)
+        log_f += np.sum(eval_log_weight_z(s, z), axis=-1)
         f = np.exp(log_f + log_prefactor)
         total += float(np.sum(f))
         total_sq += float(np.sum(f * f))

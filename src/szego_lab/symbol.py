@@ -96,11 +96,19 @@ def make_symbol(coeffs: Mapping[int, complex]) -> LaurentSymbol:
 def eval_log_weight(s: LaurentSymbol, theta) -> np.ndarray | float:
     """L(θ) = Σ_{|k|≤K} l_k e^{ikθ}, returned as a real value.
 
+    The value is :func:`eval_log_weight_z` at z = e^{iθ}; a scalar θ gives a float.
+    """
+    theta_arr = np.asarray(theta, dtype=float)
+    real = eval_log_weight_z(s, np.exp(1j * theta_arr))
+    return float(real) if np.isscalar(theta) or theta_arr.ndim == 0 else real
+
+
+def eval_log_weight_z(s: LaurentSymbol, z: np.ndarray) -> np.ndarray:
+    """L at points z = e^{iθ} of the unit circle: Σ_{|k|≤K} l_k z^k, as a real array.
+
     The conjugate pairs cancel the imaginary part exactly; the residue is
     asserted below 1e-13 before being discarded.
     """
-    theta_arr = np.asarray(theta, dtype=float)
-    z = np.exp(1j * theta_arr)
     positive = np.zeros(1, dtype=complex) if s.bandwidth == 0 else np.asarray(
         [0.0] + [s.coeffs[k] for k in range(1, s.bandwidth + 1)], dtype=complex
     )
@@ -109,8 +117,7 @@ def eval_log_weight(s: LaurentSymbol, theta) -> np.ndarray | float:
     residue = np.max(np.abs(total.imag)) if total.size else 0.0
     if residue > IMAG_RESIDUE_TOL:
         raise ConjugateSymmetryError(f"imaginary residue {residue:g} in log-weight")
-    real = total.real
-    return float(real) if np.isscalar(theta) or theta_arr.ndim == 0 else real
+    return total.real
 
 
 def eval_weight(s: LaurentSymbol, theta) -> np.ndarray | float:
@@ -290,7 +297,3 @@ def format_symbol(s: LaurentSymbol) -> str:
         lines.append(f"{k} {fmt(v.real)} {fmt(v.imag)}")
     return "\n".join(lines) + "\n"
 
-
-def save_symbol(s: LaurentSymbol, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(format_symbol(s))

@@ -15,7 +15,18 @@ from szego_lab import (
     run_to,
     vandermonde_sq,
 )
+from szego_lab import coulomb
+from szego_lab.symbol import eval_log_weight, eval_log_weight_z
 from szego_lab.toeplitz import assemble
+
+
+def sin_log_pair_gaps(theta):
+    """Reference Σ_{k<j} log|e^{iθ_k} - e^{iθ_j}|² along the last axis, by 4 sin²((θ_k-θ_j)/2)."""
+    theta = np.asarray(theta, dtype=float)
+    k, j = np.triu_indices(theta.shape[-1], k=1)
+    gaps = 4.0 * np.sin(0.5 * (theta[..., k] - theta[..., j])) ** 2
+    with np.errstate(divide="ignore"):
+        return np.sum(np.log(gaps), axis=-1)
 
 
 class TestVandermonde:
@@ -44,6 +55,46 @@ class TestVandermonde:
 
     def test_single_node_is_empty_product(self):
         assert vandermonde_sq([0.4]) == 1.0
+
+
+class TestPairGaps:
+    @staticmethod
+    def direct(z):
+        """Π_{k<j} |z_k - z_j|² as a complex product over one set of points."""
+        n = len(z)
+        return abs(np.prod([z[k] - z[j] for k in range(n) for j in range(k + 1, n)])) ** 2
+
+    @pytest.mark.parametrize("points", range(2, 10))
+    def test_matches_the_direct_complex_product(self, points):
+        rng = np.random.default_rng(points)
+        z = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=points))
+        log_v = coulomb._log_vandermonde_sq(z)
+        assert np.exp(log_v) == pytest.approx(self.direct(z), rel=1e-12)
+
+    def test_batch_along_the_first_axis(self):
+        rng = np.random.default_rng(21)
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=(50, 9))
+        z = np.exp(1j * theta)
+        log_v = coulomb._log_vandermonde_sq(z.T)
+        assert log_v.shape == (50,)
+        want = [self.direct(row) for row in z]
+        assert np.exp(log_v) == pytest.approx(want, rel=1e-12)
+        assert log_v == pytest.approx(sin_log_pair_gaps(theta), rel=1e-12, abs=1e-12)
+
+    def test_coincident_points_give_minus_inf(self):
+        z = np.exp(1j * np.array([[0.3, 1.1, 0.3, 2.0], [0.5, 1.5, 2.5, 3.5]]))
+        log_v = coulomb._log_vandermonde_sq(z.T)
+        assert log_v[0] == -np.inf
+        assert np.isfinite(log_v[1])
+
+
+class TestLogWeightCore:
+    def test_theta_form_is_the_z_core_bitwise(self, suite):
+        theta = np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, size=(64, 9))
+        for name, s in suite.items():
+            want = eval_log_weight_z(s, np.exp(1j * theta))
+            assert np.array_equal(eval_log_weight(s, theta), want), name
+            assert eval_log_weight(s, 0.7) == float(eval_log_weight_z(s, np.exp(0.7j))), name
 
 
 class TestExactQuadrature:
@@ -109,6 +160,21 @@ class TestMonteCarlo:
             <= 3.0 * est.std_err
         )
         assert hits >= 99
+
+    @pytest.mark.parametrize("count", [20_001, 2 * coulomb._MC_BATCH + 1])
+    def test_worker_batches_match_a_one_shot_reference(self, two_band_symbol, count):
+        # the same (count, n+1) stream in one draw, through the sin formula and
+        # the θ form of the log-weight: a dropped, repeated or reordered draw shows
+        n, seed, index, workers = 4, 17, 1, 3
+        task = (two_band_symbol.coeffs, n, count, seed, index, workers)
+        total, total_sq, done = coulomb._mc_worker(task)
+        child = np.random.SeedSequence(seed).spawn(workers)[index]
+        theta = np.random.default_rng(child).uniform(0.0, 2.0 * np.pi, size=(count, n + 1))
+        log_f = sin_log_pair_gaps(theta) + np.sum(eval_log_weight(two_band_symbol, theta), axis=-1)
+        f = np.exp(log_f - math.lgamma(n + 2))
+        assert done == count
+        assert total == pytest.approx(float(np.sum(f)), rel=1e-13)
+        assert total_sq == pytest.approx(float(np.sum(f * f)), rel=1e-13)
 
     def test_range_checks(self, cos_symbol):
         with pytest.raises(ValueError):
