@@ -68,7 +68,8 @@ def _log_vandermonde_sq(z: np.ndarray) -> np.ndarray:
     """Σ_{k<j} log |z_k - z_j|² over the first axis of an (n+1, ...) array of points.
 
     The gaps come from the coordinates z = x + iy, one row of pairs (k, k+1..n)
-    at a time; coincident points contribute -inf.
+    at a time, each a vector operation over the trailing (sample) axes on
+    contiguous copies of x and y; coincident points contribute -inf.
     """
     x = np.ascontiguousarray(z.real)
     y = np.ascontiguousarray(z.imag)
