@@ -33,6 +33,8 @@ def _phi_star(states: Sequence[RecursionState], j: int, z) -> np.ndarray:
 
 def kernel_sum(states: Sequence[RecursionState], n: int, z, zeta) -> complex:
     """Definitional sum Σ_{j=0}^{n} conj(φ_j(ζ)) φ_j(z)."""
+    if n < 0:
+        raise ValueError(f"kernel degree must be nonnegative, got {n}")
     if len(states) <= n:
         raise ValueError(f"kernel at n={n} needs states up to degree {n}")
     total = 0.0 + 0.0j

@@ -226,12 +226,8 @@ def cmd_verify(args) -> int:
 def cmd_coulomb(args) -> int:
     s = _symbol_from_args(args)
     if args.exact:
-        if not 0 <= args.n <= coulomb.EXACT_MAX_N:
-            return EXIT_RANGE
         estimate = coulomb.exact_Dn(s, args.n)
     else:
-        if not 1 <= args.n <= coulomb.MC_MAX_N:
-            return EXIT_RANGE
         estimate = coulomb.mc_Dn(
             s, args.n, samples=args.samples, seed=args.seed, workers=args.workers
         )
@@ -277,7 +273,7 @@ def cmd_cd_check(args) -> int:
 def cmd_bs_check(args) -> int:
     s = _symbol_from_args(args)
     level = args.nmax
-    m = moments(s, max(level, level + 10))
+    m = moments(s, level + 10)
     try:
         bundle = verify.bs_approximation(m, level)
     except InvariantViolation as exc:
@@ -383,6 +379,9 @@ def main(argv=None) -> int:
     except SymbolParseError as exc:
         print(f"szego-lab: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except ValueError as exc:
+        print(f"szego-lab: out of range: {exc}", file=sys.stderr)
+        return EXIT_RANGE
     except FileNotFoundError as exc:
         print(f"szego-lab: {exc}", file=sys.stderr)
         return EXIT_PARSE

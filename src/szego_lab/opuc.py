@@ -8,8 +8,7 @@ equals ⟨Φ_n*, zΦ_n⟩ because zΦ_n is orthogonal to z, ..., z^n.  Φ_n* is
 never stored: a state derives it from Φ_n by the reversal involution.
 :func:`run_to` keeps only the current coefficients and the α's (O(N) memory)
 and builds one state at the end; :func:`trajectory` keeps every state for
-callers that need each Φ_n.  :func:`moment_gram` and
-:func:`inner` give the dense form of the same inner product, for checks.
+callers that need each Φ_n.
 """
 
 from __future__ import annotations
@@ -68,33 +67,6 @@ class RecursionState:
     def kappa(self) -> float:
         """κ_n = ‖Φ_n‖^{-1}, the orthonormal leading coefficient."""
         return 1.0 / np.sqrt(self.norm_sq)
-
-    def to_dict(self) -> dict:
-        """JSON-ready snapshot (coefficients as re/im pairs)."""
-        return {
-            "n": self.n,
-            "c0": self.c0,
-            "norm_sq": self.norm_sq,
-            "phi": [[c.real, c.imag] for c in self.phi.coeffs],
-            "alphas": [[a.real, a.imag] for a in self.alphas],
-        }
-
-
-def moment_gram(m: MomentSequence, size: int) -> np.ndarray:
-    """Gram matrix G[a, b] = ⟨z^a, z^b⟩ = c_{a-b} of the monomials 0..size-1."""
-    if m.order < size - 1:
-        raise ValueError(f"moments up to order {size - 1} required, have {m.order}")
-    pos = m.nonnegative()[:size]
-    strip = np.concatenate([np.conj(pos[::-1]), pos[1:]])  # c_{-(size-1)}..c_{size-1}
-    idx = np.arange(size)
-    return strip[idx[:, None] - idx[None, :] + size - 1]
-
-
-def inner(p: np.ndarray, q: np.ndarray, gram: np.ndarray) -> complex:
-    """⟨p, q⟩ = Σ conj(p_a) q_b c_{a-b}, by linearity of the moment form."""
-    p = np.asarray(p, dtype=complex)
-    q = np.asarray(q, dtype=complex)
-    return complex(np.conj(p) @ gram[: len(p), : len(q)] @ q)
 
 
 def init_state(m: MomentSequence) -> RecursionState:

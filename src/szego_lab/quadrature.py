@@ -43,11 +43,6 @@ def angles(m: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(m) / m
 
 
-def circle_mean(values: np.ndarray) -> complex:
-    """(1/m) Σ_j f(θ_j), the torus quadrature of ∫ f dθ/2π."""
-    return np.mean(values)
-
-
 def _double_until_stagnant(evaluate, start: int, what: str):
     """``evaluate(m)`` for m = max(start, 64), then doubling up to
     ``SZEGO_LAB_GRID_MAX``, until two successive values differ by less than
@@ -98,7 +93,7 @@ def adaptive_circle_mean(
     still differ by more than ``FAILURE_TOL`` times max(1, |value|), or if a
     value is not finite.
     """
-    return _double_until_stagnant(lambda m: circle_mean(f(angles(m))), start, "circle")
+    return _double_until_stagnant(lambda m: np.mean(f(angles(m))), start, "circle")
 
 
 def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:

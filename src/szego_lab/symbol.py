@@ -106,18 +106,14 @@ def eval_log_weight(s: LaurentSymbol, theta) -> np.ndarray | float:
 def eval_log_weight_z(s: LaurentSymbol, z: np.ndarray) -> np.ndarray:
     """L at points z = e^{iθ} of the unit circle: Σ_{|k|≤K} l_k z^k, as a real array.
 
-    The conjugate pairs cancel the imaginary part exactly; the residue is
-    asserted below 1e-13 before being discarded.
+    With p = Σ_{k≥1} l_k z^k, the terms k < 0 sum to conj(p), so
+    L = l_0 + 2 Re p; the imaginary parts cancel exactly and are never formed.
     """
     positive = np.zeros(1, dtype=complex) if s.bandwidth == 0 else np.asarray(
         [0.0] + [s.coeffs[k] for k in range(1, s.bandwidth + 1)], dtype=complex
     )
     partial = np.polynomial.polynomial.polyval(z, positive)
-    total = s.mean + partial + np.conj(partial)
-    residue = np.max(np.abs(total.imag)) if total.size else 0.0
-    if residue > IMAG_RESIDUE_TOL:
-        raise ConjugateSymmetryError(f"imaginary residue {residue:g} in log-weight")
-    return total.real
+    return s.mean + partial.real + partial.real
 
 
 def eval_weight(s: LaurentSymbol, theta) -> np.ndarray | float:

@@ -26,8 +26,6 @@ def _json_token(value, indent: int) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return fmt(value)
-    if isinstance(value, complex):
-        return _json_token({"re": value.real, "im": value.imag}, indent)
     if isinstance(value, str):
         escaped = value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
         return f'"{escaped}"'

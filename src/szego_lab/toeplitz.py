@@ -6,7 +6,7 @@ block is the same leading block of the full factor, so every leading minor
 log D_n = 2 Σ_{i≤n} log L_ii comes from one O(N³) factorization.  The product
 route accumulates D_n = Π_{j≤n} ‖Φ_j‖² from c_0 and the Verblunsky
 coefficients alone, with prefix sums over log(1-|α_j|²) in O(N) time.  The
-ledger tracks log D_n, the ratio D_{n+1}/D_n, the running product
+ledger tracks log D_n, the ratio D_{n+1}/D_n, which is the running product
 F = c_0 Π (1-|α_j|²), and G_n = Π_j (1-|α_j|²)^{-min(n,j)-1}, all carried in
 log space internally.  The direct route never reads an α and the product
 route never reads the factor.
@@ -21,11 +21,12 @@ import numpy as np
 from .errors import PositivityError
 from .opuc import RecursionState
 from .symbol import MomentSequence
-from .textio import CSV_SCHEMA, fmt
 
 
 def assemble(m: MomentSequence, n: int) -> np.ndarray:
     """(n+1)×(n+1) Toeplitz matrix with entry (i, j) = c_{j-i}."""
+    if n < 0:
+        raise ValueError(f"matrix order must be nonnegative, got {n}")
     if m.order < n:
         raise ValueError(f"moments up to order {n} required, have {m.order}")
     pos = m.nonnegative()[: n + 1]
@@ -98,9 +99,8 @@ def log_det_product(state: RecursionState) -> float:
 class LedgerRow:
     n: int
     log_dn: float
-    ratio: float  # D_{n+1}/D_n
+    ratio: float  # D_{n+1}/D_n = F = c_0 Π_{j≤n} (1-|α_j|²)
     g_n: float
-    f_running: float
 
 
 @dataclass(frozen=True)
@@ -110,18 +110,6 @@ class DeterminantLedger:
     rows: tuple[LedgerRow, ...]
     log_c0: float
 
-    def to_csv(self) -> str:
-        lines = [
-            CSV_SCHEMA,
-            f"# log_c0={fmt(self.log_c0)}",
-            "n,log_dn,ratio,g_n,f_running",
-        ]
-        for row in self.rows:
-            lines.append(
-                f"{row.n},{fmt(row.log_dn)},{fmt(row.ratio)},{fmt(row.g_n)},{fmt(row.f_running)}"
-            )
-        return "\n".join(lines) + "\n"
-
 
 def ledger(state: RecursionState, n_max: int) -> DeterminantLedger:
     """Ledger rows for n = 0..n_max from a recursion state holding the α's.
@@ -129,8 +117,8 @@ def ledger(state: RecursionState, n_max: int) -> DeterminantLedger:
     G_n uses the probability-normalized convention G_n(dμ) = G_n(dμ/c_0),
     which depends on the α's alone; log c_0 is recorded separately.  The
     state must carry at least n_max + 1 Verblunsky coefficients so the ratio
-    column D_{n+1}/D_n = c_0 Π_{j≤n}(1-|α_j|²) is available on every row.
-    F equals that ratio and is carried as the same value.
+    column D_{n+1}/D_n = c_0 Π_{j≤n}(1-|α_j|²), which is F, is available on
+    every row.
     """
     if n_max < 0:
         raise ValueError("ledger needs n_max >= 0")
@@ -148,7 +136,6 @@ def ledger(state: RecursionState, n_max: int) -> DeterminantLedger:
             log_dn=float(log_dn[n]),
             ratio=float(ratios[n]),
             g_n=float(g_n[n]),
-            f_running=float(ratios[n]),
         )
         for n in range(n_max + 1)
     )

@@ -10,7 +10,7 @@ one-parameter family w_t = exp(tL - c_t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -148,17 +148,7 @@ class ConvergenceReport:
             "target": self.target,
             "error_slope": self.error_slope,
             "meta": dict(self.meta),
-            "rows": [
-                {
-                    "n": r.n,
-                    "log_dn": r.log_dn,
-                    "excess": r.excess,
-                    "target": r.target,
-                    "abs_err": r.abs_err,
-                    "g_n": r.g_n,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
         }
 
     def to_json(self) -> str:
@@ -448,6 +438,8 @@ def feynman_hellman_check(
     """
     if not 0.0 < t < 1.0:
         raise ValueError("t must lie strictly between 0 and 1")
+    if h == 0.0:
+        raise ValueError("the difference step h must be nonzero")
     member, c_t = family_member(s, t)
     m = moments(member, max(n, 1))
     state = opuc.run_to(m, n)

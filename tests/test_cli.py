@@ -135,9 +135,29 @@ class TestCoulomb:
         assert code == 0
         assert '"value": 1' in text
 
-    def test_out_of_range_exits_4(self):
-        assert cli.main(["coulomb", "--coeff", "1=0.5", "--n", "12"]) == 4
-        assert cli.main(["coulomb", "--coeff", "1=0.5", "--n", "3", "--exact"]) == 4
+    def test_out_of_range_exits_4(self, tmp_path, capsys):
+        csv = tmp_path / "m.csv"
+        assert cli.main(["moments", "--coeff", "1=0.5", "--nmax", "8", "--out", str(csv)]) == 0
+        for argv in (
+            ["coulomb", "--coeff", "1=0.5", "--n", "12"],
+            ["coulomb", "--coeff", "1=0.5", "--n", "3", "--exact"],
+            ["moments", "--nmax", "-1"],
+            ["verify", "--nmax", "-1"],
+            ["verify", "--moments", str(csv), "--nmax", "-1"],
+            ["bs-check", "--nmax", "0"],
+            ["fh-check", "--t", "1.5"],
+            ["fh-check", "--nmax", "-1"],
+            ["fh-check", "--h", "0"],
+            ["cd-check", "--nmax", "-1"],
+            ["coulomb", "--n", "3", "--samples", "5"],
+            ["coulomb", "--n", "3", "--workers", "0"],
+            ["coulomb", "--n", "9"],
+        ):
+            capsys.readouterr()
+            assert cli.main(argv) == 4, argv
+            out, err = capsys.readouterr()
+            assert out == "", argv
+            assert err.startswith("szego-lab: out of range: ") and err.count("\n") == 1, argv
 
     def test_seeded_run_is_byte_identical(self, tmp_path):
         args = ["coulomb", "--coeff", "1=0.5", "--n", "3", "--samples", "100000", "--seed", "7"]

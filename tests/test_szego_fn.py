@@ -104,7 +104,7 @@ class TestSzegoTheorem:
             m = moments(s, 45)
             state = run_to(m, 45)
             led = ledger(state, 44)
-            assert abs(math.log(led.rows[-1].f_running) - s.mean) < 1e-8
+            assert abs(math.log(led.rows[-1].ratio) - s.mean) < 1e-8
 
     def test_d0_squared_is_the_limit_product(self, cos_symbol):
         m = moments(cos_symbol, 40)

@@ -144,19 +144,11 @@ class TestLedger:
             for n in range(max(start, 1), 40):
                 inc_sq = mags[n] ** 2
                 inc_weighted = (n + 1) * mags[n] ** 2
-                f_inc = abs(math.log(led.rows[n + 1].f_running) - math.log(led.rows[n].f_running))
+                f_inc = abs(math.log(led.rows[n + 1].ratio) - math.log(led.rows[n].ratio))
                 g_inc = abs(math.log(led.rows[n + 1].g_n) - math.log(led.rows[n].g_n))
                 if mags[n] < 1e-13:
                     assert inc_sq < 1e-12 and inc_weighted < 1e-12
                     assert f_inc < 1e-12 and g_inc < 1e-12
-
-    def test_csv_schema(self, cos_symbol):
-        m = moments(cos_symbol, 6)
-        text = ledger(run_to(m, 6), 5).to_csv()
-        lines = text.splitlines()
-        assert lines[0] == "# schema=1"
-        assert "n,log_dn,ratio,g_n,f_running" in lines
-        assert len([l for l in lines if l and not l.startswith("#") and not l.startswith("n,")]) == 6
 
     def test_needs_enough_alphas(self, cos_symbol):
         m = moments(cos_symbol, 6)
