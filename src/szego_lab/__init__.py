@@ -22,12 +22,10 @@ from .symbol import (
 from .opuc import (
     MonicPoly,
     RecursionState,
-    init_state,
     inverse_step,
     orthonormal,
     orthonormal_star,
     run_to,
-    step,
     trajectory,
     zeros_in_disk,
 )

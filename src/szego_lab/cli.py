@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -231,7 +232,7 @@ def cmd_coulomb(args) -> int:
         estimate = coulomb.mc_Dn(
             s, args.n, samples=args.samples, seed=args.seed, workers=args.workers
         )
-    _write_output(args, json_text(estimate.to_dict()))
+    _write_output(args, json_text(asdict(estimate)))
     return EXIT_OK
 
 

@@ -43,15 +43,13 @@ class CoulombEstimate:
     method: str  # "exact-quadrature" | "monte-carlo"
     seed: int | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "value": self.value,
-            "std_err": self.std_err,
-            "samples": self.samples,
-            "method": self.method,
-            "seed": self.seed,
-        }
+
+def _require_finite_positive(n: int, value: float, variance: float) -> None:
+    """Reject the nan, inf or 0 that an overflowing or underflowing weight gives."""
+    if not (0.0 < value < math.inf and math.isfinite(variance)):
+        raise QuadratureError(
+            f"gas estimate of D_{n} is {value!r} (variance {variance!r}), not finite and > 0"
+        )
 
 
 def _sq_gaps(xa, ya, xb, yb):
@@ -105,6 +103,7 @@ def exact_Dn(s: LaurentSymbol, n: int) -> CoulombEstimate:
             f"gas quadrature for n={n} moved by {abs(second - first):.3g} "
             f"between grids {m} and {2 * m}"
         )
+    _require_finite_positive(n, second, 0.0)
     return CoulombEstimate(
         n=n,
         value=float(second),
@@ -114,6 +113,7 @@ def exact_Dn(s: LaurentSymbol, n: int) -> CoulombEstimate:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # reported by _require_finite_positive
 def _exact_on_grid(s: LaurentSymbol, n: int, m: int) -> float:
     theta = angles(m)
     w = np.exp(np.asarray(eval_log_weight(s, theta), dtype=float))
@@ -132,6 +132,7 @@ def _exact_on_grid(s: LaurentSymbol, n: int, m: int) -> float:
     return total / (6.0 * m**3)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # reported by _require_finite_positive
 def _mc_worker(task) -> tuple[float, float, int]:
     """Σf, Σf², count over one worker's substream (deterministic given the task)."""
     coeffs, n, count, seed, index, workers = task
@@ -188,6 +189,7 @@ def mc_Dn(
         total_sq += part_sq
     mean = total / samples
     variance = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
+    _require_finite_positive(n, mean, variance)
     return CoulombEstimate(
         n=n,
         value=float(mean),

@@ -20,7 +20,7 @@ class SymbolParseError(SzegoLabError, ValueError):
 
 
 class QuadratureError(SzegoLabError, RuntimeError):
-    """Grid doubling hit its cap before the quadrature stagnated."""
+    """A quadrature hit its grid cap or gave an unusable value (nan, inf, or D_n <= 0)."""
 
 
 class PositivityError(SzegoLabError, ArithmeticError):

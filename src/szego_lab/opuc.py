@@ -6,9 +6,9 @@ the moments through the bilinear form ⟨z^a, z^b⟩ = c_{a-b}.  Each step reads
 the moments once, in the O(n) sum ⟨1, zΦ_n⟩ = Σ_b Φ_n[b] c_{-b-1}, which
 equals ⟨Φ_n*, zΦ_n⟩ because zΦ_n is orthogonal to z, ..., z^n.  Φ_n* is
 never stored: a state derives it from Φ_n by the reversal involution.
-:func:`run_to` keeps only the current coefficients and the α's (O(N) memory)
-and builds one state at the end; :func:`trajectory` keeps every state for
-callers that need each Φ_n.
+One loop, :func:`_walk`, runs the recursion on bare arrays: :func:`run_to`
+builds one state from its last item (O(N) memory), :func:`trajectory` one
+state from every item for callers that need each Φ_n.
 """
 
 from __future__ import annotations
@@ -69,12 +69,6 @@ class RecursionState:
         return 1.0 / np.sqrt(self.norm_sq)
 
 
-def init_state(m: MomentSequence) -> RecursionState:
-    """Degree-0 state: Φ_0 = Φ_0* = 1, ‖Φ_0‖² = c_0, no α's yet."""
-    one = MonicPoly(np.ones(1, dtype=complex))
-    return RecursionState(n=0, phi=one, norm_sq=m.c0, alphas=(), c0=m.c0)
-
-
 def _advance(
     coeffs: np.ndarray, norm_sq: float, c: np.ndarray, n: int
 ) -> tuple[np.ndarray, float, complex]:
@@ -102,51 +96,38 @@ def _advance(
     return next_coeffs, norm_sq * (1.0 - abs(alpha) ** 2), alpha
 
 
-def step(state: RecursionState, m: MomentSequence) -> RecursionState:
-    """One Szegő step: extract α_n from the moments and advance to degree n+1."""
-    n = state.n
-    if m.order < n + 1:
-        raise ValueError(f"step from degree {n} needs moments up to {n + 1}, have {m.order}")
-    coeffs, norm_sq, alpha = _advance(state.phi.coeffs, state.norm_sq, m.nonnegative(), n)
-    return RecursionState(
-        n=n + 1,
-        phi=MonicPoly(coeffs),
-        norm_sq=norm_sq,
-        alphas=state.alphas + (alpha,),
-        c0=state.c0,
-    )
-
-
-def _check_target(m: MomentSequence, n: int) -> None:
-    if n < 0:
-        raise ValueError("target degree must be nonnegative")
-    if m.order < n:
-        raise ValueError(f"moments up to order {n} required, have {m.order}")
-
-
-def run_to(m: MomentSequence, n: int) -> RecursionState:
-    """The state of degree n: the steps of :func:`step` on a bare coefficient
-    array and a list of α's, with one :class:`RecursionState` built at the end."""
-    _check_target(m, n)
+def _walk(m: MomentSequence, n: int):
+    """Yield (Φ_k coefficients, ‖Φ_k‖², [α_0..α_{k-1}]) for k = 0..n.  The α list
+    grows in place: a consumer that keeps it past the next item must copy it."""
+    if not 0 <= n <= m.order:
+        raise ValueError(f"target degree {n} not in 0..{m.order}: moments up to order {m.order}")
     c = m.nonnegative()
     coeffs = np.ones(1, dtype=complex)
     norm_sq = m.c0
     alphas = []
+    yield coeffs, norm_sq, alphas
     for k in range(n):
         coeffs, norm_sq, alpha = _advance(coeffs, norm_sq, c, k)
         alphas.append(alpha)
+        yield coeffs, norm_sq, alphas
+
+
+def _state(m: MomentSequence, coeffs: np.ndarray, norm_sq: float, alphas) -> RecursionState:
     return RecursionState(
-        n=n, phi=MonicPoly(coeffs), norm_sq=norm_sq, alphas=tuple(alphas), c0=m.c0
+        n=len(alphas), phi=MonicPoly(coeffs), norm_sq=norm_sq, alphas=tuple(alphas), c0=m.c0
     )
+
+
+def run_to(m: MomentSequence, n: int) -> RecursionState:
+    """The state of degree n, built once from the last item of :func:`_walk`."""
+    for item in _walk(m, n):
+        pass
+    return _state(m, *item)
 
 
 def trajectory(m: MomentSequence, n: int) -> list[RecursionState]:
     """All states of degrees 0..n."""
-    _check_target(m, n)
-    states = [init_state(m)]
-    for _ in range(n):
-        states.append(step(states[-1], m))
-    return states
+    return [_state(m, *item) for item in _walk(m, n)]
 
 
 def inverse_step(

@@ -10,6 +10,7 @@ files and ``--coeff`` flags alike, obey the one rule set of :func:`stored_symbol
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping
@@ -233,7 +234,7 @@ def stored_symbol(entries: Iterable[tuple[int, complex, int | str]]) -> LaurentS
 
     The one rule set for stored coefficients, from symbol files and from
     ``--coeff`` flags alike: k ≥ 0 (negative k is implied by l_{-k} = conj(l_k)),
-    each k at most once, and l_0 real.  A violation raises
+    each k at most once, every value finite, and l_0 real.  A violation raises
     :class:`SymbolParseError` located by ``where``: a file line number, or the
     text of the flag that gave the entry.
     """
@@ -243,6 +244,8 @@ def stored_symbol(entries: Iterable[tuple[int, complex, int | str]]) -> LaurentS
             problem = "only k >= 0 may be stored; negative k is implied"
         elif k in stored:
             problem = f"duplicate coefficient k={k}"
+        elif not cmath.isfinite(value):
+            problem = f"coefficient {k} is not finite"
         elif k == 0 and value.imag != 0.0:
             problem = "coefficient 0 must be real"
         else:

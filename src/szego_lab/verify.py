@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import cdkernel, coulomb, opuc, quadrature, toeplitz
+from . import cdkernel, opuc, quadrature, toeplitz
 from .errors import InvariantViolation
 from .symbol import (
     LaurentSymbol,
@@ -160,10 +160,10 @@ class ConvergenceReport:
 ROUTE_AGREEMENT_FLOOR = 1e-13
 
 
-def routes_agree(a: float, b: float, rtol: float = ROUTE_AGREEMENT_TOL) -> bool:
-    """Whether two values of one log-determinant agree to ``rtol``; a nan or an
-    infinity agrees with nothing."""
-    return _relative_gap(a, b) <= rtol
+def routes_agree(a: float, b: float) -> bool:
+    """Whether two values of one log-determinant agree to ``ROUTE_AGREEMENT_TOL``;
+    a nan or an infinity agrees with nothing."""
+    return _relative_gap(a, b) <= ROUTE_AGREEMENT_TOL
 
 
 def _relative_gap(a: float, b: float) -> float:
@@ -188,22 +188,17 @@ def error_slope_fit(rows) -> float | None:
 def strong_szego_report(
     s: LaurentSymbol,
     n_max: int = 40,
-    route: str = "product",
     symbol_id: str = "",
 ) -> ConvergenceReport:
     """Per-degree ledger of the determinant excess against Σ k|l_k|².
 
     log D_n is computed through both the Cholesky and the norm-product
     routes, each for every n in one pass (they must agree to relative
-    1e-10); G_n is tracked and must increase toward the target.  route="coulomb" records the gas-integral
-    value instead, which caps n_max at 2 (tensor-quadrature cost).
+    1e-10), and the rows carry the product value; G_n is tracked and must
+    increase toward the target.
     """
-    if route not in ("direct", "product", "coulomb"):
-        raise ValueError(f"route must be 'direct', 'product' or 'coulomb', got {route!r}")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if route == "coulomb" and n_max > 2:
-        raise ValueError("the coulomb route supports n_max <= 2")
     mean_coeff, target = target_sum(s)
     m = moments(s, n_max + 1)
     state = opuc.run_to(m, n_max + 1)
@@ -216,19 +211,11 @@ def strong_szego_report(
                 f"determinant routes disagree at n={n}: "
                 f"direct {log_direct[n]!r} vs product {log_product!r}"
             )
-        if route == "coulomb":
-            log_dn = float(np.log(coulomb.exact_Dn(s, n).value))
-            if not routes_agree(log_dn, log_product, rtol=1e-8):
-                raise InvariantViolation(
-                    f"gas route disagrees with the product route at n={n}"
-                )
-        else:
-            log_dn = log_direct[n] if route == "direct" else log_product
-        excess = log_dn - (n + 1) * mean_coeff
+        excess = log_product - (n + 1) * mean_coeff
         rows.append(
             ReportRow(
                 n=n,
-                log_dn=log_dn,
+                log_dn=log_product,
                 excess=excess,
                 target=target,
                 abs_err=abs(excess - target),
@@ -241,7 +228,7 @@ def strong_szego_report(
         raise InvariantViolation("G_n exceeds the limit exp(Σ k|l_k|²)")
     return ConvergenceReport(
         symbol_id=symbol_id,
-        route=route,
+        route="product",
         mean_coeff=mean_coeff,
         target=target,
         rows=tuple(rows),
@@ -269,7 +256,6 @@ class BSApproxBundle:
     weight_values: np.ndarray
     grid_m: int
     moments: MomentSequence
-    alphas: tuple[complex, ...]
     mass: float
     moment_deviation: float
     alpha_head_deviation: float
@@ -331,7 +317,6 @@ def bs_approximation(m: MomentSequence, level: int) -> BSApproxBundle:
         weight_values=np.asarray(weight(quadrature.angles(grid_m)), dtype=float),
         grid_m=grid_m,
         moments=new_m,
-        alphas=tuple(new_alphas),
         mass=float(mass),
         moment_deviation=float(moment_dev),
         alpha_head_deviation=float(head_dev),
@@ -438,8 +423,8 @@ def feynman_hellman_check(
     """
     if not 0.0 < t < 1.0:
         raise ValueError("t must lie strictly between 0 and 1")
-    if h == 0.0:
-        raise ValueError("the difference step h must be nonzero")
+    if h == 0.0 or not math.isfinite(h):
+        raise ValueError("the difference step h must be nonzero and finite")
     member, c_t = family_member(s, t)
     m = moments(member, max(n, 1))
     state = opuc.run_to(m, n)

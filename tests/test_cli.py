@@ -148,6 +148,8 @@ class TestCoulomb:
             ["fh-check", "--t", "1.5"],
             ["fh-check", "--nmax", "-1"],
             ["fh-check", "--h", "0"],
+            ["fh-check", "--h", "nan"],
+            ["fh-check", "--h", "inf"],
             ["cd-check", "--nmax", "-1"],
             ["coulomb", "--n", "3", "--samples", "5"],
             ["coulomb", "--n", "3", "--workers", "0"],
@@ -165,6 +167,24 @@ class TestCoulomb:
         _, second = run_cli(args, tmp_path, "b.json")
         assert first == second
         assert '"seed": 7' in first
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--coeff", "0=800", "--n", "1", "--exact"],
+            ["--coeff", "0=800", "--n", "3", "--samples", "10000"],
+            ["--coeff", "1=400", "--n", "3", "--samples", "10000"],
+            ["--coeff", "0=-800", "--n", "2", "--exact"],
+            ["--coeff", "0=100", "--n", "3", "--samples", "10000"],  # finite value, nan std_err
+        ],
+    )
+    def test_estimate_not_finite_and_positive_exits_3(self, capsys, argv):
+        # an overflowing or underflowing weight must not print nan, inf or 0
+        assert cli.main(["coulomb", *argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("szego-lab: quadrature error: ") and err.count("\n") == 1
 
 
 class TestIdentitySuites:
@@ -198,6 +218,7 @@ class TestSymbolInputs:
         "negative k": (["-1=0.2"], "-1 0.2 0\n"),
         "complex l_0": (["0=0.1,0.2"], "0 0.1 0.2\n"),
         "too many fields": (["1=0.1,0.2,0.3"], "1 0.1 0.2 0.3\n"),
+        "non-finite": (["1=inf,0"], "1 nan 0\n"),
     }
 
     @pytest.mark.parametrize("case", sorted(REJECTED))

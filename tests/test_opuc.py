@@ -10,13 +10,11 @@ from szego_lab import (
     PositivityError,
     RecursionConsistencyError,
     assemble,
-    init_state,
     inverse_step,
     make_symbol,
     moments,
     orthonormal,
     run_to,
-    step,
     trajectory,
     zeros_in_disk,
 )
@@ -34,13 +32,13 @@ def inner(p, q, gram):
 
 class TestInitState:
     def test_unit_mass(self):
-        state = init_state(MomentSequence((1.0,)))
+        state = run_to(MomentSequence((1.0,)), 0)
         assert state.norm_sq == 1.0
         assert state.phi.degree == 0
 
     def test_cosine_mass(self, cos_symbol):
         m = moments(cos_symbol, 0)
-        state = init_state(m)
+        state = run_to(m, 0)
         assert state.norm_sq == pytest.approx(bessel_i(0), abs=1e-14)
 
     def test_rejects_nonpositive_mass(self):
@@ -57,7 +55,7 @@ class TestStep:
 
     def test_geometric_first_step(self):
         m = geometric_moments(0.5, 2)
-        state = step(init_state(m), m)
+        state = run_to(m, 1)
         assert state.alphas[0] == pytest.approx(0.5, abs=1e-15)
         assert state.norm_sq == pytest.approx(0.75, abs=1e-15)
         assert np.allclose(state.phi.coeffs, [-0.5, 1.0], atol=1e-15)
@@ -66,16 +64,15 @@ class TestStep:
         # one-step Gram-Schmidt gives Phi_1 = z - c_1/c_0, so
         # alpha_0 = -conj(Phi_1(0)) = +c_1/c_0
         m = moments(cos_symbol, 1)
-        state = step(init_state(m), m)
+        state = run_to(m, 1)
         expected = bessel_i(1) / bessel_i(0)
         assert state.alphas[0] == pytest.approx(expected, abs=1e-13)
         assert abs(expected - 0.446390) < 1e-6
 
     def test_requires_enough_moments(self):
         m = geometric_moments(0.5, 1)
-        state = step(init_state(m), m)
         with pytest.raises(ValueError):
-            step(state, m)
+            run_to(m, 2)
 
     def test_linear_alpha_matches_the_gram_quadratic_form(self, suite):
         # ᾱ_n = ⟨Φ_n*, zΦ_n⟩/‖Φ_n‖² evaluated densely, against the O(n) sum
@@ -91,12 +88,12 @@ class TestStep:
     def test_indefinite_moments_surface_as_positivity_error(self):
         bad = MomentSequence((1.0, 1.5))
         with pytest.raises(PositivityError):
-            step(init_state(bad), bad)
+            run_to(bad, 1)
 
     def test_nan_alpha_surfaces_as_positivity_error(self):
         bad = MomentSequence((1.0, np.nan, 0.1))
         with pytest.raises(PositivityError):
-            step(init_state(bad), bad)
+            run_to(bad, 1)
 
 
 class TestRunTo:
@@ -148,11 +145,8 @@ class TestRunTo:
         # c_0..c_3 of the geometric measure a = 0.5, then a c_4 that no
         # positive measure has: α_3 is the first coefficient to leave the disk
         m = MomentSequence((1.0, 0.5, 0.25, 0.125, 5.0))
-        state = init_state(m)
-        for _ in range(3):
-            state = step(state, m)
         with pytest.raises(PositivityError) as stepped:
-            step(state, m)
+            trajectory(m, 4)
         with pytest.raises(PositivityError) as ran:
             run_to(m, 4)
         assert str(ran.value) == str(stepped.value)

@@ -75,20 +75,6 @@ class TestStrongSzegoReport:
         assert rep.mean_coeff == pytest.approx(0.3)
         assert rep.rows[-1].abs_err < 1e-9
 
-    def test_direct_route_report_matches_product(self, cos_symbol):
-        a = strong_szego_report(cos_symbol, 10, route="direct")
-        b = strong_szego_report(cos_symbol, 10, route="product")
-        for ra, rb in zip(a.rows, b.rows):
-            assert ra.log_dn == pytest.approx(rb.log_dn, abs=1e-12)
-
-    def test_coulomb_route_low_orders(self, cos_symbol):
-        a = strong_szego_report(cos_symbol, 2, route="coulomb")
-        b = strong_szego_report(cos_symbol, 2, route="product")
-        for ra, rb in zip(a.rows, b.rows):
-            assert ra.log_dn == pytest.approx(rb.log_dn, rel=1e-8)
-        with pytest.raises(ValueError):
-            strong_szego_report(cos_symbol, 10, route="coulomb")
-
     def test_indefinite_moments_raise_positivity_error(self, cos_symbol, monkeypatch):
         # the 3×3 section of c = (1, 0.9, 0, ...) has determinant 1 - 2·0.81 < 0
         bad = MomentSequence((1.0, 0.9, 0.0, 0.0, 0.0))
