@@ -22,11 +22,13 @@ from .symbol import (
 from .opuc import (
     MonicPoly,
     RecursionState,
+    Trajectory,
     inverse_step,
     orthonormal,
     orthonormal_star,
     run_to,
     trajectory,
+    winding_check,
     zeros_in_disk,
 )
 from .toeplitz import (

@@ -146,13 +146,13 @@ def _verify_checks_from_moments(m: MomentSequence, n_max: int) -> list[tuple[str
     if n_top < 0:
         return checks
     try:
-        states = opuc.trajectory(m, n_top + 1)
-    except (PositivityError, SzegoLabError) as exc:
+        traj = opuc.trajectory(m, n_top + 1)
+    except SzegoLabError as exc:
         checks.append(("recursion", False, str(exc)))
         return checks
     checks.append(("recursion", True, f"ran to degree {n_top + 1}"))
     log_c0 = float(np.log(m.c0))
-    alphas = np.asarray(states[-1].alphas)
+    alphas = np.asarray(traj.alphas)
     log_product, log_g = toeplitz.log_dn_and_g(alphas, n_top, log_c0)
     gaps = [verify._relative_gap(d, p) for d, p in zip(log_direct.tolist(), log_product.tolist())]
     worst = float(np.max(gaps))  # propagates a nan gap (a non-finite route); max() drops it
@@ -166,9 +166,8 @@ def _verify_checks_from_moments(m: MomentSequence, n_max: int) -> list[tuple[str
     checks.append(
         ("alpha-bound", bool(np.all(np.abs(alphas) < 1.0)), "|alpha_n| < 1")
     )
-    norms = np.asarray([st.norm_sq for st in states])
     checks.append(
-        ("norm-monotone", bool(np.all(np.diff(norms) <= 1e-15)), "norms nonincreasing")
+        ("norm-monotone", bool(np.all(np.diff(traj.norm_sq) <= 1e-15)), "norms nonincreasing")
     )
     # log(D_{n+1}/D_n) from the α's, independent of norm-monotone's norm_sq
     log_ratios = log_c0 + np.cumsum(toeplitz.log_rho_sq(alphas[: n_top + 1]))
@@ -186,11 +185,8 @@ def _verify_checks_from_moments(m: MomentSequence, n_max: int) -> list[tuple[str
             "G_n nondecreasing",
         )
     )
-    zero_ok = True
-    for st in states[1:]:
-        _, inside = opuc.zeros_in_disk(st.phi)
-        zero_ok = zero_ok and inside
-    checks.append(("zeros-in-disk", zero_ok, "all roots strictly inside"))
+    problem = opuc.winding_check(traj)
+    checks.append(("zeros-in-disk", problem is None, problem or "all roots strictly inside"))
     return checks
 
 
@@ -240,29 +236,17 @@ def cmd_cd_check(args) -> int:
     s = _symbol_from_args(args)
     n = args.nmax
     m = moments(s, n + 2)
-    states = opuc.trajectory(m, n + 1)
-    rng = np.random.default_rng(args.seed)
-    worst_closed = 0.0
-    for _ in range(100):
-        z, zeta = [
-            r * np.exp(1j * phi)
-            for r, phi in zip(
-                0.95 * np.sqrt(rng.uniform(size=2)), rng.uniform(0, 2 * np.pi, size=2)
-            )
-        ]
-        reference = cdkernel.kernel_sum(states, n, z, zeta)
-        for variant in ("next", "current"):
-            closed = cdkernel.kernel_cd(states, n, z, zeta, variant)
-            worst_closed = max(
-                worst_closed, abs(closed - reference) / max(1.0, abs(reference))
-            )
+    traj = opuc.trajectory(m, n + 1)
+    draws = np.random.default_rng(args.seed).uniform(size=(100, 4))  # for |z|, |ζ|, arg z, arg ζ
+    z, zeta = (0.95 * np.sqrt(draws[:, :2]) * np.exp(1j * (2 * np.pi * draws[:, 2:]))).T
+    reference = cdkernel.kernel_sum(traj, n, z, zeta)
+    closed = np.array([cdkernel.kernel_cd(traj, n, z, zeta, v) for v in ("next", "current")])
+    worst_closed = float(np.max(np.abs(closed - reference) / np.maximum(1.0, np.abs(reference))))
     theta = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
-    diag = cdkernel.kernel_diag_boundary(states, n, theta)
-    direct = np.asarray(
-        [np.real(cdkernel.kernel_sum(states, n, np.exp(1j * t), np.exp(1j * t))) for t in theta]
-    )
+    diag = cdkernel.kernel_diag_boundary(traj, n, theta)
+    direct = np.real(cdkernel.kernel_sum(traj, n, np.exp(1j * theta), np.exp(1j * theta)))
     worst_diag = float(np.max(np.abs(diag - direct) / np.maximum(1.0, np.abs(direct))))
-    ratio = cdkernel.normalization_check(states, s, n)
+    ratio = cdkernel.normalization_check(traj, s, n)
     checks = [
         ("closed-forms", worst_closed <= 1e-11, f"worst deviation {fmt(worst_closed)}"),
         ("diagonal-boundary", worst_diag <= 1e-10, f"worst deviation {fmt(worst_diag)}"),

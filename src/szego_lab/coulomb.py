@@ -44,11 +44,11 @@ class CoulombEstimate:
     seed: int | None = None
 
 
-def _require_finite_positive(n: int, value: float, variance: float) -> None:
+def _require_finite_positive(n: int, value: float, std_err: float) -> None:
     """Reject the nan, inf or 0 that an overflowing or underflowing weight gives."""
-    if not (0.0 < value < math.inf and math.isfinite(variance)):
+    if not (0.0 < value < math.inf and math.isfinite(std_err)):
         raise QuadratureError(
-            f"gas estimate of D_{n} is {value!r} (variance {variance!r}), not finite and > 0"
+            f"gas estimate of D_{n} is {value!r} (std_err {std_err!r}), not finite and > 0"
         )
 
 
@@ -156,6 +156,7 @@ def _mc_worker(task) -> tuple[float, float, int]:
     return total, total_sq, count
 
 
+@np.errstate(over="ignore")  # reported by _require_finite_positive
 def mc_Dn(
     s: LaurentSymbol, n: int, samples: int, seed: int, workers: int = 1
 ) -> CoulombEstimate:
@@ -163,6 +164,7 @@ def mc_Dn(
 
     Deterministic given (seed, samples, workers): worker substreams are
     spawned from the seed and the partial sums are reduced in worker order.
+    The samples see l_0 = 0, and D_n(e^{l_0} w) = e^{(n+1) l_0} D_n(w) scales the result.
     """
     if not 1 <= n <= MC_MAX_N:
         raise ValueError(f"Monte Carlo supports n in 1..{MC_MAX_N}, got {n}")
@@ -173,7 +175,7 @@ def mc_Dn(
     base, extra = divmod(samples, workers)
     counts = [base + (1 if i < extra else 0) for i in range(workers)]
     tasks = [
-        (tuple(s.coeffs), n, counts[i], seed, i, workers)
+        ((0.0, *s.coeffs[1:]), n, counts[i], seed, i, workers)
         for i in range(workers)
         if counts[i] > 0
     ]
@@ -189,11 +191,13 @@ def mc_Dn(
         total_sq += part_sq
     mean = total / samples
     variance = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
-    _require_finite_positive(n, mean, variance)
+    scale = float(np.exp((n + 1) * s.mean))  # inf past the float range, then refused
+    value, std_err = mean * scale, math.sqrt(variance / samples) * scale
+    _require_finite_positive(n, value, std_err)
     return CoulombEstimate(
         n=n,
-        value=float(mean),
-        std_err=float(math.sqrt(variance / samples)),
+        value=value,
+        std_err=std_err,
         samples=samples,
         method="monte-carlo",
         seed=seed,

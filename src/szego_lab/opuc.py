@@ -8,12 +8,13 @@ equals ⟨Φ_n*, zΦ_n⟩ because zΦ_n is orthogonal to z, ..., z^n.  Φ_n* is
 never stored: a state derives it from Φ_n by the reversal involution.
 One loop, :func:`_walk`, runs the recursion on bare arrays: :func:`run_to`
 builds one state from its last item (O(N) memory), :func:`trajectory` one
-state from every item for callers that need each Φ_n.
+row of a coefficient array from every item, so that callers evaluate all degrees at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,9 +40,6 @@ class MonicPoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __call__(self, z):
-        return np.polynomial.polynomial.polyval(z, self.coeffs)
 
 
 def reversed_conj(coeffs: np.ndarray) -> np.ndarray:
@@ -112,22 +110,53 @@ def _walk(m: MomentSequence, n: int):
         yield coeffs, norm_sq, alphas
 
 
-def _state(m: MomentSequence, coeffs: np.ndarray, norm_sq: float, alphas) -> RecursionState:
-    return RecursionState(
-        n=len(alphas), phi=MonicPoly(coeffs), norm_sq=norm_sq, alphas=tuple(alphas), c0=m.c0
-    )
-
-
 def run_to(m: MomentSequence, n: int) -> RecursionState:
     """The state of degree n, built once from the last item of :func:`_walk`."""
-    for item in _walk(m, n):
+    for coeffs, norm_sq, alphas in _walk(m, n):
         pass
-    return _state(m, *item)
+    return RecursionState(n, MonicPoly(coeffs), norm_sq, tuple(alphas), m.c0)
 
 
-def trajectory(m: MomentSequence, n: int) -> list[RecursionState]:
-    """All states of degrees 0..n."""
-    return [_state(m, *item) for item in _walk(m, n)]
+@dataclass(frozen=True)
+class Trajectory:
+    """Degrees 0..n: row k of ``coeffs`` is Φ_k (zero above k); ``traj[k]`` is its state."""
+
+    coeffs: np.ndarray
+    norm_sq: np.ndarray
+    alphas: tuple[complex, ...]
+    c0: float
+
+    def __len__(self) -> int:
+        return len(self.norm_sq)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        k = range(len(self))[k]
+        phi = MonicPoly(self.coeffs[k, : k + 1])
+        return RecursionState(k, phi, float(self.norm_sq[k]), self.alphas[:k], self.c0)
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        """Orthonormal rows φ_k = Φ_k/‖Φ_k‖, computed once."""
+        return self.coeffs / np.sqrt(self.norm_sq)[:, None]
+
+    @cached_property
+    def phi_star(self) -> np.ndarray:
+        """Rows φ_k*: φ_k reversed in 0..k, conjugated; j > k reads (k-j) mod (n+1) > k, a 0."""
+        k = np.arange(len(self))
+        return np.conj(np.take_along_axis(self.phi, (k[:, None] - k) % len(k), axis=1))
+
+
+def trajectory(m: MomentSequence, n: int) -> Trajectory:
+    """All degrees 0..n as one coefficient array."""
+    coeffs = np.zeros((n + 1, n + 1), dtype=complex)
+    norm_sq = np.empty(n + 1)
+    for k, (row, norm, alphas) in enumerate(_walk(m, n)):
+        coeffs[k, : k + 1] = row
+        norm_sq[k] = norm
+    coeffs.flags.writeable = False
+    return Trajectory(coeffs, norm_sq, tuple(alphas), m.c0)
 
 
 def inverse_step(
@@ -168,6 +197,28 @@ def zeros_in_disk(p: MonicPoly) -> tuple[float, bool]:
     roots = np.roots(p.coeffs[::-1])
     max_modulus = float(np.max(np.abs(roots))) if roots.size else 0.0
     return max_modulus, bool(max_modulus < 1.0)
+
+
+def winding_check(traj: Trajectory) -> str | None:
+    """None if every Φ_k, 1 ≤ k ≤ n, has all its zeros in |z| < 1, else why not.
+
+    By the argument principle, exactly when each Φ_k* winds 0 times round 0 on
+    the circle.  One FFT per row samples Φ_k* at M = 8·2^⌈log₂(n+1)⌉ points v_j;
+    a step with |v_{j+1} - v_j| ≥ |v_j|/2 leaves the winding unresolved: a failure.
+    """
+    points = 8 << (len(traj) - 1).bit_length()
+    v = np.fft.ifft(traj.phi_star[1:], n=points, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.roll(v, -1, axis=1) / v  # v_{j+1}/v_j
+    unresolved = np.any(~(np.abs(ratio - 1.0) < 0.5), axis=1)
+    turns = np.rint(np.sum(np.angle(ratio), axis=1) / (2.0 * np.pi))
+    failing = np.flatnonzero(unresolved | (turns != 0))
+    if failing.size == 0:
+        return None
+    k = failing[0]
+    if unresolved[k]:
+        return f"Phi_{k + 1}* unresolved on {points} circle points"
+    return f"Phi_{k + 1}* winds {turns[k]:.0f} times round 0: zeros outside the disk"
 
 
 def orthonormal(state: RecursionState) -> np.ndarray:

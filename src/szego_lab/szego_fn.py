@@ -16,7 +16,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import InsufficientDataError
-from .opuc import RecursionState, orthonormal_star
+from .opuc import Trajectory
 from .symbol import LaurentSymbol
 
 #: |α_n| below this is double-precision noise, unusable for fits
@@ -82,21 +82,21 @@ def inverse_coeffs(d: SzegoSeries, j_max: int) -> np.ndarray:
     return _series_exp(-d.log_series, j_max) / d.d0
 
 
-def alpha_from_D(states: Sequence[RecursionState], d: SzegoSeries, n: int) -> complex:
+def alpha_from_D(traj: Trajectory, d: SzegoSeries, n: int) -> complex:
     """α_n from the D-function integral, independent of the recursion route.
 
     α_n = -κ_∞ ∫ conj(Φ_{n+1}(e^{iθ})) D(e^{iθ})^{-1} dμ(θ) with
     κ_∞ = D(0)^{-1}; the boundary measure dμ = |D|² dθ/2π requires no
     separate weight evaluation.
     """
-    if len(states) <= n + 1:
+    if len(traj) <= n + 1:
         raise ValueError(f"alpha_{n} needs the degree-{n + 1} state")
-    phi_next = states[n + 1].phi
+    phi_next = traj.coeffs[n + 1, : n + 2]
 
     def integrand(theta: np.ndarray) -> np.ndarray:
         z = np.exp(1j * theta)
         # D^{-1} dμ = (|D|²/D) dθ/2π = conj(D) dθ/2π on the boundary
-        return np.conj(phi_next(z)) * np.conj(eval_D(d, z))
+        return np.conj(np.polynomial.polynomial.polyval(z, phi_next)) * np.conj(eval_D(d, z))
 
     kappa_inf = 1.0 / d.d0
     value, _ = quadrature.adaptive_circle_mean(integrand, start=512)
@@ -160,7 +160,7 @@ def disk_integral_check(d: SzegoSeries, r: float) -> float:
     return float(2.0 * np.sum(weights * radii * angular_mean))
 
 
-def phi_star_convergence(states: Sequence[RecursionState], d: SzegoSeries) -> np.ndarray:
+def phi_star_convergence(traj: Trajectory, d: SzegoSeries) -> np.ndarray:
     """max_z |φ_n*(z) - D(z)^{-1}| per degree n, on a grid reaching past the circle.
 
     The grid is 16 radii × 64 angles inside |z| ≤ 1.05, probing the
@@ -169,21 +169,13 @@ def phi_star_convergence(states: Sequence[RecursionState], d: SzegoSeries) -> np
     radii = 1.05 * (np.arange(1, 17) / 16.0)
     angles = quadrature.angles(64)
     grid = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-    target = 1.0 / eval_D(d, grid)
-    out = np.empty(len(states))
-    for i, state in enumerate(states):
-        values = np.polynomial.polynomial.polyval(grid, orthonormal_star(state))
-        out[i] = float(np.max(np.abs(values - target)))
-    return out
+    values = np.polynomial.polynomial.polyval(grid, traj.phi_star.T)
+    return np.max(np.abs(values - 1.0 / eval_D(d, grid)), axis=1)
 
 
-def boundary_l2_error(states: Sequence[RecursionState], d: SzegoSeries) -> np.ndarray:
+def boundary_l2_error(traj: Trajectory, d: SzegoSeries) -> np.ndarray:
     """∫ |D φ_n* - 1|² dθ/2π per degree n, on a fixed 512-point uniform boundary grid."""
     theta = quadrature.angles(512)
     z = np.exp(1j * theta)
-    dv = eval_D(d, z)
-    out = np.empty(len(states))
-    for i, state in enumerate(states):
-        values = np.polynomial.polynomial.polyval(z, orthonormal_star(state))
-        out[i] = float(np.mean(np.abs(dv * values - 1.0) ** 2))
-    return out
+    values = np.polynomial.polynomial.polyval(z, traj.phi_star.T)
+    return np.mean(np.abs(eval_D(d, z) * values - 1.0) ** 2, axis=1)

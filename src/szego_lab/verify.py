@@ -472,8 +472,6 @@ def integrated_identity_check(s: LaurentSymbol, n: int) -> IntegratedIdentityRes
     θ-integral the spectral grid.  The limit form is the Parseval identity
     ∫ L · Re(Σ k l_k e^{ikθ}) dθ/2π = Σ k|l_k|².
     """
-    if n > 30:
-        raise ValueError("identity check is intended for moderate n (<= 30)")
     member_1, _ = family_member(s, 1.0)
     m1 = moments(member_1, n + 1)
     log_dn_direct = toeplitz.log_det_direct(toeplitz.assemble(m1, n))

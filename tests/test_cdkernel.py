@@ -56,6 +56,27 @@ class TestKernelSum:
             backward = kernel_sum(cos_states, 9, zeta, z)
             assert forward == np.conj(backward)
 
+    def test_array_points_match_the_scalar_calls(self, cos_states):
+        # equal up to the order of floating-point sums: vector loops round differently
+        rng = np.random.default_rng(23)
+        pairs = _disk_pairs(rng, 25)
+        z = np.array([p[0] for p in pairs])
+        zeta = np.array([p[1] for p in pairs])
+        for n in (0, 9, 21):
+            values = kernel_sum(cos_states, n, z, zeta)
+            assert values.shape == (25,)
+            scalar = [kernel_sum(cos_states, n, a, b) for a, b in pairs]
+            np.testing.assert_allclose(values, scalar, rtol=1e-14, atol=0.0)
+            pv = np.polynomial.polynomial.polyval
+            loop = sum(
+                np.conj(pv(zeta, orthonormal(st))) * pv(z, orthonormal(st))
+                for st in cos_states[: n + 1]
+            )
+            np.testing.assert_allclose(values, loop, rtol=1e-14, atol=0.0)
+            closed = kernel_cd(cos_states, n, z, zeta, "current")
+            scalar = [kernel_cd(cos_states, n, a, b, "current") for a, b in pairs]
+            np.testing.assert_allclose(closed, scalar, rtol=1e-14, atol=0.0)
+
     def test_diagonal_positivity(self, cos_states):
         rng = np.random.default_rng(17)
         for z, _ in _disk_pairs(rng, 20):

@@ -1,9 +1,12 @@
 """Command-line surface: subcommands, exit codes, deterministic output."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
-from szego_lab import cli, toeplitz
+from szego_lab import cli, opuc, toeplitz
 
 from conftest import bessel_i
 
@@ -99,6 +102,20 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in text
 
+    def test_moments_path_needs_no_companion_roots(self, tmp_path, monkeypatch):
+        def refuse(p):
+            raise AssertionError("companion roots are only a reference")
+
+        monkeypatch.setattr(opuc, "zeros_in_disk", refuse)
+        rows = "\n".join(f"{n},{0.5 ** n},0" for n in range(42))
+        good = tmp_path / "moments.csv"
+        good.write_text("# schema=1\nn,re,im\n" + rows + "\n")
+        code, text = run_cli(
+            ["verify", "--moments", str(good), "--nmax", "40"], tmp_path, "r.txt"
+        )
+        assert code == 0
+        assert "# check zeros-in-disk PASS (all roots strictly inside)" in text
+
     def test_non_finite_route_gap_fails_route_agreement(self, tmp_path, monkeypatch):
         rows = "\n".join(f"{n},{0.5 ** n},0" for n in range(13))
         good = tmp_path / "moments.csv"
@@ -176,7 +193,7 @@ class TestCoulomb:
             ["--coeff", "0=800", "--n", "3", "--samples", "10000"],
             ["--coeff", "1=400", "--n", "3", "--samples", "10000"],
             ["--coeff", "0=-800", "--n", "2", "--exact"],
-            ["--coeff", "0=100", "--n", "3", "--samples", "10000"],  # finite value, nan std_err
+            ["--coeff", "0=-800", "--n", "3", "--samples", "10000"],
         ],
     )
     def test_estimate_not_finite_and_positive_exits_3(self, capsys, argv):
@@ -185,6 +202,18 @@ class TestCoulomb:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("szego-lab: quadrature error: ") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_l0_is_carried_exactly(self, capsys):
+        # D_3(e^{100} w) = e^{400} D_3(w): the samples never see l_0
+        argv = ["coulomb", "--n", "3", "--samples", "10000"]
+        assert cli.main(argv + ["--coeff", "0=100"]) == 0
+        shifted = json.loads(capsys.readouterr().out)
+        assert cli.main(argv) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert math.isfinite(shifted["std_err"]) and shifted["std_err"] > 0.0
+        assert shifted["value"] == pytest.approx(math.exp(400) * plain["value"], rel=1e-14)
+        assert shifted["std_err"] == pytest.approx(math.exp(400) * plain["std_err"], rel=1e-14)
 
 
 class TestIdentitySuites:

@@ -9,13 +9,16 @@ from szego_lab import (
     MonicPoly,
     PositivityError,
     RecursionConsistencyError,
+    Trajectory,
     assemble,
     inverse_step,
     make_symbol,
     moments,
     orthonormal,
+    orthonormal_star,
     run_to,
     trajectory,
+    winding_check,
     zeros_in_disk,
 )
 from szego_lab.opuc import reversed_conj
@@ -141,6 +144,25 @@ class TestRunTo:
         assert np.array_equal(state.phi.coeffs, last.phi.coeffs)
         assert state.norm_sq == last.norm_sq
 
+    @pytest.mark.parametrize(
+        "name", ["lebesgue", "cosine", "two-band", "offset", "bernstein-szego"]
+    )
+    def test_every_row_is_run_to_bitwise(self, suite, name):
+        m = moments(suite[name], 60)
+        traj = trajectory(m, 60)
+        assert len(traj) == 61
+        for k in range(61):
+            state, row = run_to(m, k), traj[k]
+            assert state.n == row.n == k
+            assert state.alphas == row.alphas
+            assert np.array_equal(state.phi.coeffs, row.phi.coeffs)
+            assert state.norm_sq == row.norm_sq
+            assert state.c0 == row.c0
+            assert np.array_equal(traj.phi[k, : k + 1], orthonormal(state))
+            assert np.array_equal(traj.phi_star[k, : k + 1], orthonormal_star(state))
+            assert not np.any(traj.phi[k, k + 1 :]) and not np.any(traj.phi_star[k, k + 1 :])
+        assert [st.n for st in traj[1::20]] == [1, 21, 41]
+
     def test_raises_at_the_degree_where_stepping_raises(self):
         # c_0..c_3 of the geometric measure a = 0.5, then a c_4 that no
         # positive measure has: α_3 is the first coefficient to leave the disk
@@ -250,6 +272,60 @@ class TestZeros:
             for st in trajectory(m, 15)[1:]:
                 _, ok = zeros_in_disk(st.phi)
                 assert ok
+
+
+def _hand_built(*rows) -> Trajectory:
+    """Degrees 0..n with row k = z^k except where ``rows`` gives Φ_k (ascending)."""
+    n = max(len(r) for r in rows) - 1
+    coeffs = np.eye(n + 1, dtype=complex)
+    for r in rows:
+        coeffs[len(r) - 1, : len(r)] = r
+    return Trajectory(coeffs, np.ones(n + 1), (0j,) * n, 1.0)
+
+
+class TestWindingCheck:
+    def test_agrees_with_companion_roots_on_the_suite(self, suite):
+        for name, s in suite.items():
+            traj = trajectory(moments(s, 40), 40)
+            assert winding_check(traj) is None, name
+            for st in traj[1:]:
+                # each degree alone, sampled on its own grid
+                inside = winding_check(_hand_built(st.phi.coeffs)) is None
+                assert (inside, zeros_in_disk(st.phi)[1]) == (True, True), (name, st.n)
+
+    def test_never_contradicts_companion_roots_off_the_disk(self):
+        # Φ with n_out zeros at radius 1.7..3 and the rest at 0.1..0.6: the check
+        # passes exactly when n_out = 0, and a resolved failure counts n_out
+        rng = np.random.default_rng(12)
+        seen = set()
+        for _ in range(100):
+            degree = int(rng.integers(1, 13))
+            n_out = min(degree, int(rng.integers(0, 3)))
+            radius = np.concatenate(
+                [rng.uniform(1.7, 3.0, size=n_out), rng.uniform(0.1, 0.6, size=degree - n_out)]
+            )
+            roots = radius * np.exp(2j * np.pi * rng.uniform(size=degree))
+            phi = MonicPoly(np.polynomial.polynomial.polyfromroots(roots))
+            problem = winding_check(_hand_built(phi.coeffs))
+            assert (problem is None) == zeros_in_disk(phi)[1] == (n_out == 0)
+            if problem is not None and "winds" in problem:
+                assert problem.startswith(f"Phi_{degree}* winds {n_out} times")
+            seen.add(problem if problem is None else problem.split()[1])
+        assert seen == {None, "winds", "unresolved"}
+
+    def test_zero_outside_the_disk_fails(self):
+        # Φ_1 = z - 2: Φ_1* = 1 - 2z has its zero at 1/2 and winds once
+        problem = winding_check(_hand_built([-2.0, 1.0], [0, 0, 1.0]))
+        assert problem == "Phi_1* winds 1 times round 0: zeros outside the disk"
+
+    def test_zero_next_to_the_circle_is_unresolved(self):
+        problem = winding_check(_hand_built([-(1.0 - 1e-9), 1.0]))
+        assert problem == "Phi_1* unresolved on 16 circle points"
+
+    def test_first_failing_degree_is_named(self):
+        # Φ_2 = z² + 9 has both zeros at ±3i
+        traj = _hand_built([-0.5, 1.0], [9.0, 0.0, 1.0], [0, 0, 0, 1.0])
+        assert winding_check(traj).startswith("Phi_2* winds 2 times")
 
 
 class TestOrthonormal:

@@ -19,9 +19,10 @@ from szego_lab import (
     phi_star_convergence,
     trajectory,
 )
+from szego_lab import quadrature
 from szego_lab.szego_fn import boundary_l2_error, series_coeffs
 from szego_lab.toeplitz import ledger
-from szego_lab.opuc import run_to
+from szego_lab.opuc import orthonormal_star, run_to
 
 from conftest import convolve_series
 
@@ -186,6 +187,21 @@ class TestPhiStarConvergence:
                 - 1.0 / eval_D(d, 0.0)
             )
             assert dev == pytest.approx(abs(st.kappa() - 1.0 / d.d0), abs=1e-14)
+
+
+class TestAllDegreesAtOnce:
+    def test_match_the_per_degree_loop(self, two_band_symbol):
+        traj = trajectory(moments(two_band_symbol, 31), 30)
+        d = build_szego(two_band_symbol)
+        pv = np.polynomial.polynomial.polyval
+        radii = 1.05 * (np.arange(1, 17) / 16.0)
+        grid = (radii[:, None] * np.exp(1j * quadrature.angles(64))).ravel()
+        z = np.exp(1j * quadrature.angles(512))
+        stars = [orthonormal_star(st) for st in traj]
+        sup = [np.max(np.abs(pv(grid, c) - 1.0 / eval_D(d, grid))) for c in stars]
+        l2 = [np.mean(np.abs(eval_D(d, z) * pv(z, c) - 1.0) ** 2) for c in stars]
+        np.testing.assert_allclose(phi_star_convergence(traj, d), sup, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(boundary_l2_error(traj, d), l2, rtol=0.0, atol=1e-14)
 
 
 class TestBoundaryL2:

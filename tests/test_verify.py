@@ -249,6 +249,8 @@ class TestIntegratedIdentity:
         assert res.residual < 1e-6
         assert res.limit_residual < 1e-12
 
-    def test_rejects_large_n(self, cos_symbol):
-        with pytest.raises(ValueError):
-            integrated_identity_check(cos_symbol, 31)
+    def test_degree_forty_residual(self, cos_symbol, two_band_symbol):
+        # no degree cap: the identity holds to rounding past n = 30
+        for s in (cos_symbol, two_band_symbol):
+            res = integrated_identity_check(s, 40)
+            assert res.residual <= 1e-14 * abs(res.log_dn_direct)
