@@ -22,17 +22,18 @@ _polyval = np.polynomial.polynomial.polyval
 
 
 def kernel_sum(traj: Trajectory, n: int, z, zeta) -> np.ndarray | complex:
-    """Definitional sum Σ_{j=0}^{n} conj(φ_j(ζ)) φ_j(z), at scalar or array points."""
+    """Definitional sum Σ_{j=0}^{n} conj(φ_j(ζ)) φ_j(z), at broadcast scalar or array points."""
     if n < 0:
         raise ValueError(f"kernel degree must be nonnegative, got {n}")
     if len(traj) <= n:
         raise ValueError(f"kernel at n={n} needs states up to degree {n}")
+    z, zeta = np.broadcast_arrays(z, zeta)
     rows = traj.phi[: n + 1, : n + 1].T
-    a, b = _polyval(zeta, rows), _polyval(z, rows)
+    a, b = (np.vander(p.ravel(), n + 1, increasing=True) @ rows for p in (zeta, z))
     # real and imaginary parts apart, so that swapping z and ζ conjugates exactly
-    re = np.sum(a.real * b.real + a.imag * b.imag, axis=0)
-    im = np.sum(a.real * b.imag - a.imag * b.real, axis=0)
-    return re + 1j * im
+    re = np.sum(a.real * b.real + a.imag * b.imag, axis=1)
+    im = np.sum(a.real * b.imag - a.imag * b.real, axis=1)
+    return (re + 1j * im).reshape(z.shape)[()]
 
 
 def kernel_cd(traj: Trajectory, n: int, z, zeta, variant: str = "next") -> np.ndarray | complex:

@@ -23,6 +23,8 @@ from .symbol import MomentSequence
 
 ALPHA_CROSSCHECK_TOL = 1e-10
 INVERSE_RESIDUE_TOL = 1e-11
+WINDING_MAX_POINTS = 1 << 16
+WINDING_BLOCK_SAMPLES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -202,22 +204,28 @@ def zeros_in_disk(p: MonicPoly) -> tuple[float, bool]:
 def winding_check(traj: Trajectory) -> str | None:
     """None if every Φ_k, 1 ≤ k ≤ n, has all its zeros in |z| < 1, else why not.
 
-    By the argument principle, exactly when each Φ_k* winds 0 times round 0 on
-    the circle.  One FFT per row samples Φ_k* at M = 8·2^⌈log₂(n+1)⌉ points v_j;
-    a step with |v_{j+1} - v_j| ≥ |v_j|/2 leaves the winding unresolved: a failure.
+    By the argument principle, exactly when each Φ_k* winds 0 times round 0 on the
+    circle.  FFTs sample the rows, WINDING_BLOCK_SAMPLES values at a time, on
+    M = 8·2^⌈log₂(n+1)⌉ points v_j.  A row with a step |v_{j+1} - v_j| ≥ |v_j|/2 is
+    sampled again on 2M points; past WINDING_MAX_POINTS it fails as unresolved.
     """
+    todo, turns = np.arange(len(traj) - 1), np.full(len(traj) - 1, np.nan)
     points = 8 << (len(traj) - 1).bit_length()
-    v = np.fft.ifft(traj.phi_star[1:], n=points, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.roll(v, -1, axis=1) / v  # v_{j+1}/v_j
-    unresolved = np.any(~(np.abs(ratio - 1.0) < 0.5), axis=1)
-    turns = np.rint(np.sum(np.angle(ratio), axis=1) / (2.0 * np.pi))
-    failing = np.flatnonzero(unresolved | (turns != 0))
+    limit = max(points, WINDING_MAX_POINTS)
+    while todo.size and points <= limit:
+        for rows in np.array_split(todo, 1 + todo.size * points // WINDING_BLOCK_SAMPLES):
+            v = np.fft.ifft(traj.phi_star[rows + 1], n=points, axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.roll(v, -1, axis=1) / v  # v_{j+1}/v_j
+            ok = np.all(np.abs(ratio - 1.0) < 0.5, axis=1)
+            turns[rows[ok]] = np.rint(np.sum(np.angle(ratio[ok]), axis=1) / (2.0 * np.pi))
+        todo, points = np.flatnonzero(np.isnan(turns)), 2 * points
+    failing = np.flatnonzero(turns != 0)
     if failing.size == 0:
         return None
     k = failing[0]
-    if unresolved[k]:
-        return f"Phi_{k + 1}* unresolved on {points} circle points"
+    if np.isnan(turns[k]):
+        return f"Phi_{k + 1}* unresolved on {points // 2} circle points"
     return f"Phi_{k + 1}* winds {turns[k]:.0f} times round 0: zeros outside the disk"
 
 

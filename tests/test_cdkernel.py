@@ -73,6 +73,10 @@ class TestKernelSum:
                 for st in cos_states[: n + 1]
             )
             np.testing.assert_allclose(values, loop, rtol=1e-14, atol=0.0)
+            # a scalar ζ against n+1 points z: the point axis is not the degree axis
+            mixed = kernel_sum(cos_states, n, z[: n + 1], zeta[0])
+            scalar = [kernel_sum(cos_states, n, a, zeta[0]) for a in z[: n + 1]]
+            np.testing.assert_allclose(mixed, scalar, rtol=1e-14, atol=0.0)
             closed = kernel_cd(cos_states, n, z, zeta, "current")
             scalar = [kernel_cd(cos_states, n, a, b, "current") for a, b in pairs]
             np.testing.assert_allclose(closed, scalar, rtol=1e-14, atol=0.0)

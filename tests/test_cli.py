@@ -116,6 +116,17 @@ class TestVerify:
         assert code == 0
         assert "# check zeros-in-disk PASS (all roots strictly inside)" in text
 
+    @pytest.mark.parametrize("l1, nmax", [("5", "8"), ("2", "3")])
+    def test_zero_of_phi_star_near_the_circle_still_passes(self, tmp_path, l1, nmax):
+        # |α_0| = I_1(2l_1)/I_0(2l_1) puts the zero of Φ_1* within 0.06 (l_1 = 5)
+        # of the circle: too close for the first grid, resolved on a finer one
+        csv = tmp_path / "moments.csv"
+        argv = ["moments", "--coeff", f"1={l1}", "--nmax", str(int(nmax) + 1), "--out", str(csv)]
+        assert cli.main(argv) == 0
+        code, text = run_cli(["verify", "--moments", str(csv), "--nmax", nmax], tmp_path, "r.txt")
+        assert code == 0
+        assert "# check zeros-in-disk PASS (all roots strictly inside)" in text
+
     def test_non_finite_route_gap_fails_route_agreement(self, tmp_path, monkeypatch):
         rows = "\n".join(f"{n},{0.5 ** n},0" for n in range(13))
         good = tmp_path / "moments.csv"
