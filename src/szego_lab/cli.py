@@ -305,7 +305,6 @@ def _add_symbol_flags(parser: argparse.ArgumentParser) -> None:
         help="inline coefficient, repeatable; negative k implied by symmetry",
     )
     parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,11 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments", help="Fourier moments of the weight e^L")
     _add_symbol_flags(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--nmax", type=int, default=10)
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("verify", help="determinant limit report and invariant suite")
     _add_symbol_flags(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--moments", help="verify a moments CSV instead of a symbol")
     p.add_argument("--nmax", type=int, default=40)
     p.set_defaults(func=cmd_verify)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,8 +134,12 @@ def _exact_on_grid(s: LaurentSymbol, n: int, m: int) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # reported by _require_finite_positive
-def _mc_worker(task) -> tuple[float, float, int]:
-    """Σf, Σf², count over one worker's substream (deterministic given the task)."""
+def _mc_worker(task) -> tuple[float, float, int, int]:
+    """(Σf·2^-k, Σf²·2^-2k, count, k) over one worker's substream, deterministic given the task.
+
+    k ≥ 0 is the largest binary exponent of a batch maximum so far, so that f·2^-k ≤ 1
+    and its square cannot overflow when f does not; scaling by 2^-k is exact.
+    """
     coeffs, n, count, seed, index, workers = task
     s = LaurentSymbol(tuple(coeffs))
     child = np.random.SeedSequence(seed).spawn(workers)[index]
@@ -142,6 +147,7 @@ def _mc_worker(task) -> tuple[float, float, int]:
     log_prefactor = -math.lgamma(n + 2)
     total = 0.0
     total_sq = 0.0
+    k = 0
     done = 0
     while done < count:
         batch = min(_MC_BATCH, count - done)
@@ -150,10 +156,13 @@ def _mc_worker(task) -> tuple[float, float, int]:
         log_f = _log_vandermonde_sq(z.T)
         log_f += np.sum(eval_log_weight_z(s, z), axis=-1)
         f = np.exp(log_f + log_prefactor)
+        shift = max(0, int(np.frexp(np.max(f))[1]) - k)
+        total, total_sq, k = math.ldexp(total, -shift), math.ldexp(total_sq, -2 * shift), k + shift
+        np.ldexp(f, -k, out=f)
         total += float(np.sum(f))
         total_sq += float(np.sum(f * f))
         done += batch
-    return total, total_sq, count
+    return total, total_sq, count, k
 
 
 @np.errstate(over="ignore")  # reported by _require_finite_positive
@@ -179,20 +188,23 @@ def mc_Dn(
         for i in range(workers)
         if counts[i] > 0
     ]
-    if workers > 1 and len(tasks) > 1:
-        with multiprocessing.get_context("fork").Pool(len(tasks)) as pool:
+    processes = min(len(tasks), os.cpu_count() or 1)
+    if processes > 1:
+        with multiprocessing.get_context("fork").Pool(processes) as pool:
             parts = pool.map(_mc_worker, tasks)
     else:
         parts = [_mc_worker(task) for task in tasks]
+    k = max(part[3] for part in parts)
     total = 0.0
     total_sq = 0.0
-    for part_sum, part_sq, _ in parts:  # ordered reduction
-        total += part_sum
-        total_sq += part_sq
+    for part_sum, part_sq, _, part_k in parts:  # ordered reduction, at the common 2^-k
+        total += math.ldexp(part_sum, part_k - k)
+        total_sq += math.ldexp(part_sq, 2 * (part_k - k))
     mean = total / samples
     variance = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
     scale = float(np.exp((n + 1) * s.mean))  # inf past the float range, then refused
-    value, std_err = mean * scale, math.sqrt(variance / samples) * scale
+    value = float(np.ldexp(mean, k)) * scale
+    std_err = float(np.ldexp(math.sqrt(variance / samples), k)) * scale
     _require_finite_positive(n, value, std_err)
     return CoulombEstimate(
         n=n,

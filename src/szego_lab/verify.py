@@ -14,13 +14,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import cdkernel, opuc, quadrature, toeplitz
+from . import opuc, quadrature, toeplitz
 from .errors import InvariantViolation
 from .symbol import (
     LaurentSymbol,
     MomentSequence,
     eval_log_weight,
-    eval_weight,
     format_symbol,
     gi_truncate,
     make_symbol,
@@ -79,26 +78,29 @@ def scaled_symbol(s: LaurentSymbol, t: float) -> LaurentSymbol:
     return LaurentSymbol(tuple(t * complex(c) for c in s.coeffs))
 
 
-def family_member(s: LaurentSymbol, t: float) -> tuple[LaurentSymbol, float]:
-    """(symbol of w_t, c_t) with c_t = log ∫ e^{tL} dθ/2π, so ∫ w_t dθ/2π = 1."""
-    st = scaled_symbol(s, t)
-    mean_weight, _ = quadrature.adaptive_circle_mean(
-        lambda th: eval_weight(st, th), start=8 * (s.bandwidth + 1)
-    )
-    c_t = float(np.log(np.real(mean_weight)))
-    shifted = (complex(st.coeffs[0].real - c_t),) + tuple(st.coeffs[1:])
-    return LaurentSymbol(shifted), c_t
+def family_moments(
+    s: LaurentSymbol, t: float, n: int
+) -> tuple[MomentSequence, float, np.ndarray]:
+    """(moments of w_t, c_t, Laurent coefficients of L - ċ_t) from one moment quadrature.
+
+    The moments of e^{tL}, to order max(n, K), divided by their c_0 are those of
+    w_t, with c_0 = 1 exactly, and c_t = log c_0(e^{tL}).  Every θ-integral of a
+    trigonometric polynomial against w_t is a pairing with them (:func:`_pair`),
+    so ċ_t = ∫ L w_t dθ/2π = Σ_{|k|≤K} l_k c_{-k}.  The last item, indexed
+    -K..K, is d/dt log w_t = L - ċ_t.
+    """
+    raw = moments(scaled_symbol(s, t), max(n, s.bandwidth))
+    m = raw.normalized()
+    stored = np.asarray(s.coeffs, dtype=complex)
+    dlog_w = np.concatenate([np.conj(stored[:0:-1]), stored])
+    dlog_w[s.bandwidth] -= _pair(dlog_w, m)
+    return m, float(np.log(raw.c0)), dlog_w
 
 
-def _c_t_derivative(s: LaurentSymbol, t: float, c_t: float) -> float:
-    """ċ_t = ∫ L e^{tL} dθ/2π / ∫ e^{tL} dθ/2π, by the same torus quadrature;
-    the denominator is e^{c_t}, with c_t from :func:`family_member` at this t."""
-    st = scaled_symbol(s, t)
-    numer, _ = quadrature.adaptive_circle_mean(
-        lambda th: eval_log_weight(s, th) * eval_weight(st, th),
-        start=8 * (s.bandwidth + 1),
-    )
-    return float(np.real(numer) / np.exp(c_t))
+def _pair(p: np.ndarray, m: MomentSequence) -> float:
+    """∫ P dμ/2π = Σ_d p_d c_{-d} for P = Σ_{|d|≤D} p_d e^{idθ}, given as p_{-D}..p_D."""
+    c = m.nonnegative()[: len(p) // 2 + 1]
+    return float(np.real(p @ np.concatenate([c[::-1], np.conj(c[1:])])))
 
 
 # --------------------------------------------------------------------------
@@ -406,8 +408,7 @@ class FHResult:
 
 
 def _log_norm_sq_at(s: LaurentSymbol, t: float, n: int) -> float:
-    member, _ = family_member(s, t)
-    m = moments(member, max(n, 1))
+    m, _, _ = family_moments(s, t, n)
     return float(np.log(opuc.run_to(m, n).norm_sq))
 
 
@@ -416,7 +417,8 @@ def feynman_hellman_check(
 ) -> FHResult:
     """Derivative of log ‖Φ_n‖² along w_t: analytic form vs central difference.
 
-    The analytic side is ∫ |φ_n|² (L - ċ_t) w_t dθ/2π; the finite-difference
+    The analytic side is ∫ |φ_n|² (L - ċ_t) w_t dθ/2π, the pairing of the
+    moments of w_t with the coefficients of |φ_n|² (L - ċ_t); the finite-difference
     side recomputes the recursion at t ± h.  The ratio of gaps at h and h/2
     confirms the O(h²) accuracy of the central difference whenever the gap
     is above machine noise.
@@ -425,21 +427,10 @@ def feynman_hellman_check(
         raise ValueError("t must lie strictly between 0 and 1")
     if h == 0.0 or not math.isfinite(h):
         raise ValueError("the difference step h must be nonzero and finite")
-    member, c_t = family_member(s, t)
-    m = moments(member, max(n, 1))
-    state = opuc.run_to(m, n)
-    phi_n = opuc.orthonormal(state)
-    c_dot = _c_t_derivative(s, t, c_t)
-
-    def integrand(theta: np.ndarray) -> np.ndarray:
-        values = np.polynomial.polynomial.polyval(np.exp(1j * theta), phi_n)
-        log_l = np.asarray(eval_log_weight(s, theta), dtype=float)
-        return np.abs(values) ** 2 * (log_l - c_dot) * eval_weight(member, theta)
-
-    analytic_cplx, _ = quadrature.adaptive_circle_mean(
-        integrand, start=8 * (n + s.bandwidth + 1)
-    )
-    analytic = float(np.real(analytic_cplx))
+    m, _, dlog_w = family_moments(s, t, n + s.bandwidth)
+    phi_n = opuc.orthonormal(opuc.run_to(m, n))
+    abs_sq = np.convolve(phi_n, np.conj(phi_n[::-1]))  # |φ_n|², degrees -n..n
+    analytic = _pair(np.convolve(abs_sq, dlog_w), m)
 
     def central(step: float) -> float:
         upper = _log_norm_sq_at(s, t + step, n)
@@ -463,38 +454,33 @@ class IntegratedIdentityResult:
     limit_residual: float
 
 
+def _radial_term(s: LaurentSymbol, t: float, n: int) -> float:
+    """∫ (L - ċ_t) ∂_r|φ*_{n+1}(re^{iθ}; w_t)|²|_{r=1} w_t dθ/2π, as a moment pairing.
+
+    With φ*_{n+1} = Σ_j a_j z^j, the coefficient of ∂_r|φ*_{n+1}|² at r = 1 and e^{idθ}
+    is Σ_{j-k=d} (j+k) a_j conj(a_k) = x_d + conj(x_{-d}), where x_d = Σ_{j-k=d} j a_j conj(a_k).
+    """
+    m, _, dlog_w = family_moments(s, t, n + 1 + s.bandwidth)
+    a = opuc.orthonormal_star(opuc.run_to(m, n + 1))
+    x = np.convolve(np.arange(n + 2) * a, np.conj(a[::-1]))
+    return _pair(np.convolve(x + np.conj(x[::-1]), dlog_w), m)
+
+
 def integrated_identity_check(s: LaurentSymbol, n: int) -> IntegratedIdentityResult:
     """Integrated derivative identity for log D_n, plus its n → ∞ limit form.
 
     log D_n(w_1) must equal (n+1) log ‖Φ_{n+1}‖²_{t=1} minus the double
     integral over t and θ of (d/dt log w_t) ∂_r|φ*_{n+1}(re^{iθ}; w_t)|²|_{r=1} w_t;
-    the t-integral uses 16-node Gauss–Legendre (the integrand is analytic in t), the
-    θ-integral the spectral grid.  The limit form is the Parseval identity
-    ∫ L · Re(Σ k l_k e^{ikθ}) dθ/2π = Σ k|l_k|².
+    the t-integral uses 16-node Gauss–Legendre (the integrand is analytic in t),
+    each θ-integral the moments of w_t (:func:`_radial_term`).  The limit form is
+    the Parseval identity ∫ L · Re(Σ k l_k e^{ikθ}) dθ/2π = Σ k|l_k|².
     """
-    member_1, _ = family_member(s, 1.0)
-    m1 = moments(member_1, n + 1)
+    m1, _, _ = family_moments(s, 1.0, n + 1)
     log_dn_direct = toeplitz.log_det_direct(toeplitz.assemble(m1, n))
     norm_term = (n + 1) * float(np.log(opuc.run_to(m1, n + 1).norm_sq))
 
     nodes, weights = quadrature.gauss_legendre(16, 0.0, 1.0)
-    integral = 0.0
-    for t_i, w_i in zip(nodes, weights):
-        member, c_t = family_member(s, float(t_i))
-        m_t = moments(member, n + 1)
-        star = opuc.orthonormal_star(opuc.run_to(m_t, n + 1))
-        c_dot = _c_t_derivative(s, float(t_i), c_t)
-
-        def integrand(theta: np.ndarray) -> np.ndarray:
-            z = np.exp(1j * theta)
-            du = cdkernel._radial_derivative_sq(star, z)
-            log_l = np.asarray(eval_log_weight(s, theta), dtype=float)
-            return (log_l - c_dot) * du * eval_weight(member, theta)
-
-        value, _ = quadrature.adaptive_circle_mean(
-            integrand, start=8 * (n + s.bandwidth + 2)
-        )
-        integral += float(w_i) * float(np.real(value))
+    integral = sum(float(w) * _radial_term(s, float(t), n) for t, w in zip(nodes, weights))
     rhs = norm_term - integral
 
     _, target = target_sum(s)

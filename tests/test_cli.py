@@ -226,6 +226,20 @@ class TestCoulomb:
         assert shifted["value"] == pytest.approx(math.exp(400) * plain["value"], rel=1e-14)
         assert shifted["std_err"] == pytest.approx(math.exp(400) * plain["std_err"], rel=1e-14)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_lk_has_a_finite_standard_error(self, capsys):
+        # 4·L reaches 400 here, so f² overflows unless each batch is scaled first
+        argv = ["coulomb", "--coeff", "1=50", "--n", "3", "--samples", "10000"]
+        assert cli.main(argv) == 0
+        estimate = json.loads(capsys.readouterr().out)
+        assert math.isfinite(estimate["std_err"]) and estimate["std_err"] > 0.0
+
+    @pytest.mark.parametrize("command", ["coulomb", "cd-check", "bs-check", "fh-check"])
+    def test_format_is_only_read_by_moments_and_verify(self, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--format", "csv"] + (["--n", "2"] if command == "coulomb" else []))
+        assert exc.value.code == 2
+
 
 class TestIdentitySuites:
     def test_cd_check_passes(self, tmp_path):

@@ -1,6 +1,8 @@
 """Gas-integral determinant estimates: exact quadrature and seeded Monte Carlo."""
 
 import math
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -149,6 +151,34 @@ class TestMonteCarlo:
         b = mc_Dn(cos_symbol, 3, samples=40_000, seed=2, workers=2)
         assert a.value == b.value and a.std_err == b.std_err
 
+    def test_pool_never_outnumbers_the_cores(self, cos_symbol, monkeypatch):
+        # the substreams follow `workers`, not the pool, so the cap changes no result
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(task) for task in tasks]
+
+        monkeypatch.setattr(
+            coulomb.multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=InlinePool)
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        pooled = mc_Dn(cos_symbol, 3, samples=64_000, seed=4, workers=64)
+        assert sizes == [2]
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        inline = mc_Dn(cos_symbol, 3, samples=64_000, seed=4, workers=64)
+        assert sizes == [2]
+        assert (pooled.value, pooled.std_err) == (inline.value, inline.std_err)
+
     def test_three_sigma_coverage_over_seeds(self, cos_symbol):
         # frozen regression: seeds 0..99 at n=3, 1e5 samples cover the
         # determinant within 3 standard errors 99 times out of 100
@@ -167,14 +197,14 @@ class TestMonteCarlo:
         # the θ form of the log-weight: a dropped, repeated or reordered draw shows
         n, seed, index, workers = 4, 17, 1, 3
         task = (two_band_symbol.coeffs, n, count, seed, index, workers)
-        total, total_sq, done = coulomb._mc_worker(task)
+        total, total_sq, done, k = coulomb._mc_worker(task)
         child = np.random.SeedSequence(seed).spawn(workers)[index]
         theta = np.random.default_rng(child).uniform(0.0, 2.0 * np.pi, size=(count, n + 1))
         log_f = sin_log_pair_gaps(theta) + np.sum(eval_log_weight(two_band_symbol, theta), axis=-1)
         f = np.exp(log_f - math.lgamma(n + 2))
         assert done == count
-        assert total == pytest.approx(float(np.sum(f)), rel=1e-13)
-        assert total_sq == pytest.approx(float(np.sum(f * f)), rel=1e-13)
+        assert math.ldexp(total, k) == pytest.approx(float(np.sum(f)), rel=1e-13)
+        assert math.ldexp(total_sq, 2 * k) == pytest.approx(float(np.sum(f * f)), rel=1e-13)
 
     def test_range_checks(self, cos_symbol):
         with pytest.raises(ValueError):

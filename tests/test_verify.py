@@ -18,9 +18,9 @@ from szego_lab import (
     run_to,
     strong_szego_report,
 )
-from szego_lab import toeplitz, verify
-from szego_lab.symbol import MomentSequence
-from szego_lab.verify import default_suite, family_member, scaled_symbol
+from szego_lab import cdkernel, opuc, quadrature, toeplitz, verify
+from szego_lab.symbol import LaurentSymbol, MomentSequence, eval_log_weight, eval_weight
+from szego_lab.verify import default_suite, family_moments, scaled_symbol
 
 from conftest import bessel_i, geometric_moments
 
@@ -189,12 +189,43 @@ class TestGIBounds:
             assert row.log_g_bs <= row.log_g_full + 1e-12
 
 
+def pointwise_family(s, t):
+    """(symbol of w_t, ċ_t), each normalization integral by its own circle quadrature."""
+    st = scaled_symbol(s, t)
+    mass, _ = quadrature.adaptive_circle_mean(
+        lambda th: eval_weight(st, th), start=8 * (s.bandwidth + 1)
+    )
+    c_t = math.log(mass.real)
+    numer, _ = quadrature.adaptive_circle_mean(
+        lambda th: eval_log_weight(s, th) * eval_weight(st, th), start=8 * (s.bandwidth + 1)
+    )
+    shifted = LaurentSymbol((complex(st.coeffs[0].real - c_t),) + tuple(st.coeffs[1:]))
+    return shifted, numer.real / math.exp(c_t)
+
+
+def pointwise_mean(s, t, poly_term, start):
+    """∫ P (L - ċ_t) w_t dθ/2π on the doubling grid, with P = poly_term(symbol of w_t, z)."""
+    member, c_dot = pointwise_family(s, t)
+
+    def integrand(theta):
+        score = np.asarray(eval_log_weight(s, theta), dtype=float) - c_dot
+        return poly_term(member, np.exp(1j * theta)) * score * eval_weight(member, theta)
+
+    return quadrature.adaptive_circle_mean(integrand, start=start)[0].real
+
+
 class TestFamily:
     def test_member_is_probability_normalized(self, cos_symbol):
-        member, c_t = family_member(cos_symbol, 0.5)
-        m = moments(member, 0)
-        assert m.c0 == pytest.approx(1.0, abs=1e-14)
+        m, c_t, _ = family_moments(cos_symbol, 0.5, 4)
+        assert m.c0 == 1.0
         assert c_t == pytest.approx(math.log(bessel_i(0, 0.5)), abs=1e-13)
+
+    def test_score_is_the_log_weight_less_the_bessel_ratio(self, cos_symbol):
+        # d/dt log w_t = L - ċ_t with ċ_t = ∫ cos θ e^{cos θ/2} / ∫ e^{cos θ/2} = I_1/I_0
+        _, _, dlog_w = family_moments(cos_symbol, 0.5, 4)
+        assert dlog_w[0] == dlog_w[2] == 0.5
+        c_dot = -dlog_w[1].real
+        assert c_dot == pytest.approx(bessel_i(1, 0.5) / bessel_i(0, 0.5), abs=1e-13)
 
     def test_scaling(self, cos_symbol):
         st = scaled_symbol(cos_symbol, 0.5)
@@ -223,6 +254,16 @@ class TestFeynmanHellman:
         r = feynman_hellman_check(two_band_symbol, 3, t=0.5, h=1e-3)
         assert r.gap <= 1e-4 * max(1.0, abs(r.analytic))
         assert 3.5 <= r.ratio <= 4.5
+
+    @pytest.mark.parametrize("n", [3, 10])
+    def test_analytic_side_matches_the_pointwise_quadrature(self, cos_symbol, two_band_symbol, n):
+        def abs_sq(member, z):
+            phi_n = opuc.orthonormal(run_to(moments(member, n), n))
+            return np.abs(np.polynomial.polynomial.polyval(z, phi_n)) ** 2
+
+        for s in (cos_symbol, two_band_symbol):
+            reference = pointwise_mean(s, 0.5, abs_sq, start=8 * (n + s.bandwidth + 1))
+            assert feynman_hellman_check(s, n).analytic == pytest.approx(reference, abs=1e-13)
 
     def test_t_range_is_enforced(self, cos_symbol):
         with pytest.raises(ValueError):
@@ -254,3 +295,18 @@ class TestIntegratedIdentity:
         for s in (cos_symbol, two_band_symbol):
             res = integrated_identity_check(s, 40)
             assert res.residual <= 1e-14 * abs(res.log_dn_direct)
+
+    def test_degree_three_hundred_residual(self, cos_symbol):
+        for s in (cos_symbol, make_symbol({1: 2.0, -1: 2.0})):
+            res = integrated_identity_check(s, 300)
+            assert res.residual <= 1e-14 * abs(res.log_dn_direct)
+
+    def test_node_matches_the_pointwise_quadrature(self, two_band_symbol):
+        n, t = 1, 0.3
+
+        def radial(member, z):
+            star = opuc.orthonormal_star(run_to(moments(member, n + 1), n + 1))
+            return cdkernel._radial_derivative_sq(star, z)
+
+        reference = pointwise_mean(two_band_symbol, t, radial, start=8 * (n + 4))
+        assert verify._radial_term(two_band_symbol, t, n) == pytest.approx(reference, abs=1e-13)
