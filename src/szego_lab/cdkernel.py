@@ -76,7 +76,7 @@ def kernel_diag_boundary(traj: Trajectory, n: int, theta) -> np.ndarray | float:
     if len(traj) <= n + 1:
         raise ValueError(f"diagonal boundary kernel at n={n} needs degree {n + 1}")
     star = traj.phi_star[n + 1, : n + 2]
-    z = np.exp(1j * np.asarray(theta, dtype=float))
+    z = quadrature.circle_points(theta)
     values = -_radial_derivative_sq(star, z) + (n + 1) * np.abs(_polyval(z, star)) ** 2
     return float(values) if np.isscalar(theta) else values
 

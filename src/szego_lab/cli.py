@@ -16,7 +16,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import cdkernel, coulomb, opuc, toeplitz, verify
+from . import cdkernel, coulomb, opuc, quadrature, toeplitz, verify
 from .errors import (
     InvariantViolation,
     PositivityError,
@@ -238,13 +238,14 @@ def cmd_cd_check(args) -> int:
     m = moments(s, n + 2)
     traj = opuc.trajectory(m, n + 1)
     draws = np.random.default_rng(args.seed).uniform(size=(100, 4))  # for |z|, |ζ|, arg z, arg ζ
-    z, zeta = (0.95 * np.sqrt(draws[:, :2]) * np.exp(1j * (2 * np.pi * draws[:, 2:]))).T
+    z, zeta = (0.95 * np.sqrt(draws[:, :2]) * quadrature.circle_points(2 * np.pi * draws[:, 2:])).T
     reference = cdkernel.kernel_sum(traj, n, z, zeta)
     closed = np.array([cdkernel.kernel_cd(traj, n, z, zeta, v) for v in ("next", "current")])
     worst_closed = float(np.max(np.abs(closed - reference) / np.maximum(1.0, np.abs(reference))))
     theta = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
     diag = cdkernel.kernel_diag_boundary(traj, n, theta)
-    direct = np.real(cdkernel.kernel_sum(traj, n, np.exp(1j * theta), np.exp(1j * theta)))
+    on_circle = quadrature.circle_points(theta)
+    direct = np.real(cdkernel.kernel_sum(traj, n, on_circle, on_circle))
     worst_diag = float(np.max(np.abs(diag - direct) / np.maximum(1.0, np.abs(direct))))
     ratio = cdkernel.normalization_check(traj, s, n)
     checks = [

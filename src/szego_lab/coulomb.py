@@ -4,12 +4,15 @@ D_n equals the partition-function integral
 [(n+1)!]^{-1} ∫ |Π_{k<j}(z_k - z_j)|² e^{Σ L(θ_j)} Π dθ_j/2π over the
 (n+1)-torus, with z_j = e^{iθ_j}.  Low dimensions are handled by exact
 tensor quadrature and moderate dimensions by seeded uniform Monte Carlo.
-Both form every pair gap from the coordinates of z = exp(iθ),
-|z_k - z_j|² = (x_k - x_j)² + (y_k - y_j)², with no trigonometry per pair.
-Monte Carlo takes each sample's z once, evaluates L on that same z through
-:func:`symbol.eval_log_weight_z`, carries the Vandermonde and the factorial
-prefactor in log space, and draws in batches of ``_MC_BATCH`` (8192) samples
-so that a batch's temporaries stay in cache.
+Both take z = e^{iθ} once per point, as cos θ + i sin θ with no complex
+exponential (:func:`quadrature.circle_points`), evaluate L on that same z
+through :func:`symbol.eval_log_weight_z`, and form every pair gap from its
+coordinates, |z_k - z_j|² = (x_k - x_j)² + (y_k - y_j)², with no trigonometry
+per pair.  Monte Carlo carries the Vandermonde and the factorial prefactor in
+log space, and draws in batches of ``_MC_BATCH`` (8192) samples so that a
+batch's temporaries stay in cache; z, its coordinates, the rows of pair gaps
+and their sums go into buffers that a worker allocates once and every batch
+reuses, so a batch does not fault in fresh pages for them.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError
-from .quadrature import angles
+from .quadrature import angles, circle_points
+# eval_log_weight is not called here: it is imported so that the perfbench layer
+# span on ``coulomb.eval_log_weight`` still finds its target
 from .symbol import LaurentSymbol, eval_log_weight, eval_log_weight_z
 
 EXACT_MAX_N = 2
@@ -53,31 +58,45 @@ def _require_finite_positive(n: int, value: float, std_err: float) -> None:
         )
 
 
-def _sq_gaps(xa, ya, xb, yb):
-    """|z_a - z_b|² = (x_a - x_b)² + (y_a - y_b)², broadcast over the coordinates."""
-    dx = xa - xb
-    dy = ya - yb
+def _sq_gaps(xa, ya, xb, yb, dx=None, dy=None):
+    """|z_a - z_b|² = (x_a - x_b)² + (y_a - y_b)², broadcast over the coordinates.
+
+    The result is written into ``dx`` and ``dy`` is scratch, when they are given.
+    """
+    dx = np.subtract(xa, xb, out=dx)
+    dy = np.subtract(ya, yb, out=dy)
     dx *= dx
     dy *= dy
     dx += dy
     return dx
 
 
+def _add_log_gaps(total, x, y, dx, dy, row_sum) -> np.ndarray:
+    """total += Σ_{k<j} log |z_k - z_j|², from the coordinates z = x + iy of shape (n+1, ...).
+
+    One row of pairs (k, k+1..n) at a time, each a vector operation over the
+    trailing (sample) axes, written into the leading rows of the n-row gap
+    buffers dx, dy and summed through row_sum; coincident points contribute -inf.
+    """
+    pairs = x.shape[0] - 1
+    with np.errstate(divide="ignore"):
+        for k in range(pairs):
+            rows = pairs - k
+            gaps = _sq_gaps(x[k], y[k], x[k + 1 :], y[k + 1 :], dx[:rows], dy[:rows])
+            total += np.sum(np.log(gaps, out=gaps), axis=0, out=row_sum)
+    return total
+
+
 def _log_vandermonde_sq(z: np.ndarray) -> np.ndarray:
     """Σ_{k<j} log |z_k - z_j|² over the first axis of an (n+1, ...) array of points.
 
-    The gaps come from the coordinates z = x + iy, one row of pairs (k, k+1..n)
-    at a time, each a vector operation over the trailing (sample) axes on
-    contiguous copies of x and y; coincident points contribute -inf.
+    The gaps come from contiguous copies of x and y, in buffers allocated once per call.
     """
     x = np.ascontiguousarray(z.real)
     y = np.ascontiguousarray(z.imag)
+    dx = np.empty((max(z.shape[0] - 1, 0), *z.shape[1:]))
     total = np.zeros(z.shape[1:])
-    with np.errstate(divide="ignore"):
-        for k in range(z.shape[0] - 1):
-            gaps = _sq_gaps(x[k], y[k], x[k + 1 :], y[k + 1 :])
-            total += np.sum(np.log(gaps, out=gaps), axis=0)
-    return total
+    return _add_log_gaps(total, x, y, dx, np.empty_like(dx), np.empty_like(total))
 
 
 def vandermonde_sq(theta) -> float:
@@ -85,7 +104,7 @@ def vandermonde_sq(theta) -> float:
     theta = np.asarray(theta, dtype=float)
     if theta.size < 2:
         return 1.0
-    return float(np.exp(_log_vandermonde_sq(np.exp(1j * theta).T)))
+    return float(np.exp(_log_vandermonde_sq(circle_points(theta).T)))
 
 
 def exact_Dn(s: LaurentSymbol, n: int) -> CoulombEstimate:
@@ -116,11 +135,10 @@ def exact_Dn(s: LaurentSymbol, n: int) -> CoulombEstimate:
 
 @np.errstate(over="ignore", invalid="ignore")  # reported by _require_finite_positive
 def _exact_on_grid(s: LaurentSymbol, n: int, m: int) -> float:
-    theta = angles(m)
-    w = np.exp(np.asarray(eval_log_weight(s, theta), dtype=float))
+    z = circle_points(angles(m))
+    w = np.exp(eval_log_weight_z(s, z))
     if n == 0:
         return float(np.mean(w))
-    z = np.exp(1j * theta)
     x, y = z.real, z.imag
     gaps = _sq_gaps(x[:, None], y[:, None], x[None, :], y[None, :])
     if n == 1:
@@ -149,11 +167,23 @@ def _mc_worker(task) -> tuple[float, float, int, int]:
     total_sq = 0.0
     k = 0
     done = 0
+    # one set of buffers for every batch: z sample by sample for L, its
+    # coordinates point by point for the gaps, the gap rows and the sums
+    width = min(_MC_BATCH, count)
+    z_rows = np.empty((width, n + 1), dtype=complex)
+    xy = np.empty((2, n + 1, width))
+    gap_rows = np.empty((2, n, width))
+    sums = np.empty((2, width))
     while done < count:
         batch = min(_MC_BATCH, count - done)
         theta = rng.uniform(0.0, 2.0 * np.pi, size=(batch, n + 1))
-        z = np.exp(1j * theta)
-        log_f = _log_vandermonde_sq(z.T)
+        z = circle_points(theta, out=z_rows[:batch])
+        x, y = xy[..., :batch]
+        np.copyto(x, z.real.T)
+        np.copyto(y, z.imag.T)
+        log_f, row_sum = sums[:, :batch]
+        log_f.fill(0.0)
+        _add_log_gaps(log_f, x, y, *gap_rows[..., :batch], row_sum)
         log_f += np.sum(eval_log_weight_z(s, z), axis=-1)
         f = np.exp(log_f + log_prefactor)
         shift = max(0, int(np.frexp(np.max(f))[1]) - k)

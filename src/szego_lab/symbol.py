@@ -100,7 +100,7 @@ def eval_log_weight(s: LaurentSymbol, theta) -> np.ndarray | float:
     The value is :func:`eval_log_weight_z` at z = e^{iθ}; a scalar θ gives a float.
     """
     theta_arr = np.asarray(theta, dtype=float)
-    real = eval_log_weight_z(s, np.exp(1j * theta_arr))
+    real = eval_log_weight_z(s, quadrature.circle_points(theta_arr))
     return float(real) if np.isscalar(theta) or theta_arr.ndim == 0 else real
 
 
@@ -109,12 +109,24 @@ def eval_log_weight_z(s: LaurentSymbol, z: np.ndarray) -> np.ndarray:
 
     With p = Σ_{k≥1} l_k z^k, the terms k < 0 sum to conj(p), so
     L = l_0 + 2 Re p; the imaginary parts cancel exactly and are never formed.
+    p comes from an in-place Horner loop, p = l_K·z, then p = (p + l_k)·z for
+    k = K-1..1: the IEEE operations of ``polyval`` on [0, l_1..l_K] without its
+    ``z*0`` start and ``0 +`` end, in one buffer, so the same bits for a scalar z
+    and for every array of two or more points.  A one-point array can differ in
+    the last place, since numpy multiplies it in place without the FMA that it
+    uses for every other complex product.
     """
-    positive = np.zeros(1, dtype=complex) if s.bandwidth == 0 else np.asarray(
-        [0.0] + [s.coeffs[k] for k in range(1, s.bandwidth + 1)], dtype=complex
-    )
-    partial = np.polynomial.polynomial.polyval(z, positive)
-    return s.mean + partial.real + partial.real
+    z = np.asarray(z)
+    if s.bandwidth == 0:
+        return np.full(z.shape, s.mean)
+    partial = np.full(z.shape, s.coeffs[-1], dtype=complex)
+    partial *= z
+    for coeff in s.coeffs[-2:0:-1]:
+        partial += coeff
+        partial *= z
+    real = np.add(s.mean, partial.real)
+    real += partial.real
+    return real
 
 
 def eval_weight(s: LaurentSymbol, theta) -> np.ndarray | float:

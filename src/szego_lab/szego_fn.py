@@ -94,7 +94,7 @@ def alpha_from_D(traj: Trajectory, d: SzegoSeries, n: int) -> complex:
     phi_next = traj.coeffs[n + 1, : n + 2]
 
     def integrand(theta: np.ndarray) -> np.ndarray:
-        z = np.exp(1j * theta)
+        z = quadrature.circle_points(theta)
         # D^{-1} dμ = (|D|²/D) dθ/2π = conj(D) dθ/2π on the boundary
         return np.conj(np.polynomial.polynomial.polyval(z, phi_next)) * np.conj(eval_D(d, z))
 
@@ -154,7 +154,7 @@ def disk_integral_check(d: SzegoSeries, r: float) -> float:
     deriv = np.arange(1, d.truncation + 1) * d.log_series  # ∂_z log D coefficients
     radii, weights = quadrature.gauss_legendre(64, 0.0, r)
     theta = quadrature.angles(256)
-    z = radii[:, None] * np.exp(1j * theta)[None, :]
+    z = radii[:, None] * quadrature.circle_points(theta)[None, :]
     values = np.abs(np.polynomial.polynomial.polyval(z, deriv)) ** 2
     angular_mean = values.mean(axis=1)  # (1/2π) ∫ dθ
     return float(2.0 * np.sum(weights * radii * angular_mean))
@@ -168,14 +168,13 @@ def phi_star_convergence(traj: Trajectory, d: SzegoSeries) -> np.ndarray:
     """
     radii = 1.05 * (np.arange(1, 17) / 16.0)
     angles = quadrature.angles(64)
-    grid = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+    grid = (radii[:, None] * quadrature.circle_points(angles)[None, :]).ravel()
     values = np.polynomial.polynomial.polyval(grid, traj.phi_star.T)
     return np.max(np.abs(values - 1.0 / eval_D(d, grid)), axis=1)
 
 
 def boundary_l2_error(traj: Trajectory, d: SzegoSeries) -> np.ndarray:
     """∫ |D φ_n* - 1|² dθ/2π per degree n, on a fixed 512-point uniform boundary grid."""
-    theta = quadrature.angles(512)
-    z = np.exp(1j * theta)
+    z = quadrature.circle_points(quadrature.angles(512))
     values = np.polynomial.polynomial.polyval(z, traj.phi_star.T)
     return np.mean(np.abs(eval_D(d, z) * values - 1.0) ** 2, axis=1)

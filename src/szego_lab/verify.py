@@ -19,7 +19,7 @@ from .errors import InvariantViolation
 from .symbol import (
     LaurentSymbol,
     MomentSequence,
-    eval_log_weight,
+    eval_log_weight_z,
     format_symbol,
     gi_truncate,
     make_symbol,
@@ -280,7 +280,7 @@ def bs_approximation(m: MomentSequence, level: int) -> BSApproxBundle:
     phi_level = opuc.orthonormal(state)
 
     def weight(theta: np.ndarray) -> np.ndarray:
-        values = np.polynomial.polynomial.polyval(np.exp(1j * theta), phi_level)
+        values = np.polynomial.polynomial.polyval(quadrature.circle_points(theta), phi_level)
         return 1.0 / np.abs(values) ** 2
 
     new_m = moments_from_function(weight, n_alphas, start=8 * (n_alphas + level))
@@ -486,15 +486,13 @@ def integrated_identity_check(s: LaurentSymbol, n: int) -> IntegratedIdentityRes
     _, target = target_sum(s)
 
     def limit_integrand(theta: np.ndarray) -> np.ndarray:
-        z = np.exp(1j * theta)
+        z = quadrature.circle_points(theta)
         tail = np.asarray(s.coeffs, dtype=complex).copy()
         tail[0] = 0.0
         deriv_boundary = np.polynomial.polynomial.polyval(
             z, np.arange(len(tail)) * tail
         )
-        return np.asarray(eval_log_weight(s, theta), dtype=float) * np.real(
-            deriv_boundary
-        )
+        return eval_log_weight_z(s, z) * np.real(deriv_boundary)
 
     limit_value_cplx, _ = quadrature.adaptive_circle_mean(
         limit_integrand, start=8 * (2 * s.bandwidth + 1)

@@ -70,6 +70,25 @@ def convolve_series(a: np.ndarray, b: np.ndarray, length: int) -> np.ndarray:
     return out
 
 
+def polyval_log_weight_z(s, z):
+    """Reference L = l_0 + 2 Re p, with p = Σ_{k≥1} l_k z^k from numpy's ``polyval``.
+
+    The reference for the bits of ``symbol.eval_log_weight_z``, whose in-place
+    Horner loop does the same IEEE operations.
+    """
+    positive = np.zeros(1, dtype=complex) if s.bandwidth == 0 else np.asarray(
+        [0.0] + [s.coeffs[k] for k in range(1, s.bandwidth + 1)], dtype=complex
+    )
+    partial = np.polynomial.polynomial.polyval(z, positive)
+    return s.mean + partial.real + partial.real
+
+
+def same_bits(a, b) -> bool:
+    """Equal float64 arrays or scalars, down to the sign of zero."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 @pytest.fixture(scope="session")
 def suite():
     """The five standing weights: name -> symbol."""

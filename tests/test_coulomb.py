@@ -18,8 +18,10 @@ from szego_lab import (
     vandermonde_sq,
 )
 from szego_lab import coulomb
-from szego_lab.symbol import eval_log_weight, eval_log_weight_z
+from szego_lab.symbol import LaurentSymbol, eval_log_weight, eval_log_weight_z
 from szego_lab.toeplitz import assemble
+
+from conftest import polyval_log_weight_z, same_bits
 
 
 def sin_log_pair_gaps(theta):
@@ -29,6 +31,58 @@ def sin_log_pair_gaps(theta):
     gaps = 4.0 * np.sin(0.5 * (theta[..., k] - theta[..., j])) ** 2
     with np.errstate(divide="ignore"):
         return np.sum(np.log(gaps), axis=-1)
+
+
+def unbuffered_log_vandermonde_sq(z):
+    """Σ_{k<j} log|z_k - z_j|² over the first axis, with a fresh gap array per row.
+
+    The reference for the bits of ``coulomb._log_vandermonde_sq``, whose rows
+    go through reused buffers in the same order of operations.
+    """
+    x = np.ascontiguousarray(z.real)
+    y = np.ascontiguousarray(z.imag)
+    total = np.zeros(z.shape[1:])
+    with np.errstate(divide="ignore"):
+        for k in range(z.shape[0] - 1):
+            dx = x[k] - x[k + 1 :]
+            dy = y[k] - y[k + 1 :]
+            dx *= dx
+            dy *= dy
+            dx += dy
+            total += np.sum(np.log(dx, out=dx), axis=0)
+    return total
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_mc_worker(task):
+    """``coulomb._mc_worker`` with z = exp(1jθ), unbuffered gap rows and ``polyval`` L.
+
+    The reference for the bits of the Monte Carlo kernel, which takes z from
+    cos/sin, L from an in-place Horner loop and the gap rows from reused buffers.
+    """
+    coeffs, n, count, seed, index, workers = task
+    s = LaurentSymbol(tuple(coeffs))
+    child = np.random.SeedSequence(seed).spawn(workers)[index]
+    rng = np.random.default_rng(child)
+    log_prefactor = -math.lgamma(n + 2)
+    total = 0.0
+    total_sq = 0.0
+    k = 0
+    done = 0
+    while done < count:
+        batch = min(coulomb._MC_BATCH, count - done)
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=(batch, n + 1))
+        z = np.exp(1j * theta)
+        log_f = unbuffered_log_vandermonde_sq(z.T)
+        log_f += np.sum(polyval_log_weight_z(s, z), axis=-1)
+        f = np.exp(log_f + log_prefactor)
+        shift = max(0, int(np.frexp(np.max(f))[1]) - k)
+        total, total_sq, k = math.ldexp(total, -shift), math.ldexp(total_sq, -2 * shift), k + shift
+        np.ldexp(f, -k, out=f)
+        total += float(np.sum(f))
+        total_sq += float(np.sum(f * f))
+        done += batch
+    return total, total_sq, count, k
 
 
 class TestVandermonde:
@@ -88,6 +142,39 @@ class TestPairGaps:
         log_v = coulomb._log_vandermonde_sq(z.T)
         assert log_v[0] == -np.inf
         assert np.isfinite(log_v[1])
+
+
+class TestBufferedPairGaps:
+    """The reused gap buffers against the fresh-array row loop, bit for bit."""
+
+    def test_transposed_batch_view(self):
+        z = np.exp(1j * np.random.default_rng(8).uniform(0.0, 2.0 * np.pi, size=(300, 9)))
+        assert not z.T.flags.c_contiguous
+        want = unbuffered_log_vandermonde_sq(z.T)
+        assert same_bits(coulomb._log_vandermonde_sq(z.T), want)
+        assert same_bits(coulomb._log_vandermonde_sq(np.ascontiguousarray(z.T)), want)
+
+    def test_one_dimensional_points(self):
+        z = np.exp(1j * np.random.default_rng(9).uniform(0.0, 2.0 * np.pi, size=7))
+        log_v = coulomb._log_vandermonde_sq(z)
+        assert log_v.shape == ()
+        assert same_bits(log_v, unbuffered_log_vandermonde_sq(z))
+        assert np.exp(log_v) == pytest.approx(TestPairGaps.direct(z), rel=1e-12)
+
+    def test_single_point_is_an_empty_product(self):
+        # no pairs: the gap buffers are empty and the log-product is 0
+        z = np.exp(1j * np.array([[0.3, 1.1, 2.0]]))
+        assert same_bits(coulomb._log_vandermonde_sq(z), np.zeros(3))
+        assert same_bits(coulomb._log_vandermonde_sq(z[:, 0]), 0.0)
+
+    @pytest.mark.parametrize("n", range(1, coulomb.MC_MAX_N + 1))
+    @pytest.mark.parametrize("count", [20_001, 2 * coulomb._MC_BATCH + 1])
+    def test_worker_is_the_reference_kernel_bit_for_bit(self, suite, n, count):
+        for name in ("two-band", "bernstein-szego"):
+            # complex l_k by rotation, and l_0 = 0 as mc_Dn passes it
+            coeffs = [complex(c) * np.exp(0.7j * k) for k, c in enumerate(suite[name].coeffs)]
+            task = ((0.0, *coeffs[1:]), n, count, 23, 1, 2)
+            assert coulomb._mc_worker(task) == reference_mc_worker(task), name
 
 
 class TestLogWeightCore:

@@ -1,4 +1,5 @@
-"""Property tests over random small symbols: the O(n) determinant sums and the recursion."""
+"""Property tests over random small symbols: the O(n) determinant sums, the recursion,
+the log-weight's Horner loop and seeded gas-integral re-runs."""
 
 import math
 
@@ -8,7 +9,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from szego_lab import log_dn_and_g, make_symbol, moments, run_to, trajectory
+from szego_lab import log_dn_and_g, make_symbol, mc_Dn, moments, run_to, trajectory
+from szego_lab.coulomb import MC_MIN_SAMPLES
+from szego_lab.symbol import eval_log_weight_z
 
 PROPERTY_SETTINGS = settings(
     max_examples=25, deadline=None, derandomize=True, database=None
@@ -77,3 +80,23 @@ def test_run_to_is_the_last_state_of_the_trajectory(s, n):
     assert state.norm_sq == last.norm_sq
     assert np.array_equal(state.phi.coeffs, last.phi.coeffs)
     assert np.array_equal(state.phi_star, last.phi_star)
+
+
+@PROPERTY_SETTINGS
+@given(
+    s=symbols(),
+    theta=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=16),
+)
+def test_log_weight_is_the_direct_laurent_sum(s, theta):
+    z = np.exp(1j * np.asarray(theta))
+    direct = sum(s.coeff(k) * z**k for k in range(-s.bandwidth, s.bandwidth + 1))
+    assert np.max(np.abs(eval_log_weight_z(s, z) - direct.real)) <= 1e-13
+
+
+@settings(PROPERTY_SETTINGS, max_examples=8)
+@given(s=symbols(), n=st.integers(1, 4), seed=st.integers(0, 2**31 - 1))
+def test_seeded_gas_estimate_reruns_are_identical(s, n, seed):
+    for workers in (1, 2):
+        first = mc_Dn(s, n, MC_MIN_SAMPLES, seed, workers=workers)
+        again = mc_Dn(s, n, MC_MIN_SAMPLES, seed, workers=workers)
+        assert (first.value, first.std_err) == (again.value, again.std_err), workers

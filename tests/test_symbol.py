@@ -16,16 +16,18 @@ from szego_lab import (
     moments,
     target_sum,
 )
-from szego_lab.quadrature import adaptive_circle_mean
+from szego_lab.quadrature import adaptive_circle_mean, circle_points
 from szego_lab.symbol import (
+    LaurentSymbol,
     MomentSequence,
+    eval_log_weight_z,
     format_symbol,
     load_symbol,
     moments_from_function,
     parse_symbol,
 )
 
-from conftest import bessel_i
+from conftest import bessel_i, polyval_log_weight_z, same_bits
 
 
 class TestMakeSymbol:
@@ -71,6 +73,78 @@ class TestEvaluation:
         theta = rng.uniform(0.0, 2.0 * np.pi, size=10_000)
         for s in suite.values():
             assert np.all(eval_weight(s, theta) > 0.0)
+
+
+class TestCirclePoints:
+    def test_cos_sin_are_the_complex_exponential_bitwise(self):
+        # libm's cexp(0 + iθ) is (cos θ, sin θ); every seeded gas estimate rests on it
+        rng = np.random.default_rng(7)
+        wide = rng.uniform(-1e3, 1e3, 10_000)
+        for theta in (rng.uniform(0.0, 2.0 * np.pi, size=(1000, 9)), wide):
+            want = np.exp(1j * theta)
+            z = circle_points(theta)
+            assert same_bits(z.real, want.real) and same_bits(z.imag, want.imag)
+
+    def test_scalar_and_out(self):
+        z = circle_points(0.7)
+        assert isinstance(z, np.complex128) and z == np.exp(0.7j)
+        theta = np.linspace(0.0, 6.0, 12).reshape(3, 4)
+        out = np.empty((3, 4), dtype=complex)
+        circle_points(theta, out=out)
+        assert same_bits(out.view(float), circle_points(theta).view(float))
+
+
+class TestHornerBits:
+    """The in-place Horner loop against the ``polyval`` form, bit for bit."""
+
+    @staticmethod
+    def symbols(suite):
+        rng = np.random.default_rng(48)
+        out = dict(suite)
+        for name, s in suite.items():  # rotation makes every l_k with k ≥ 1 complex
+            out[f"{name}, rotated"] = LaurentSymbol(
+                tuple(complex(c) * np.exp(0.7j * k) for k, c in enumerate(s.coeffs))
+            )
+        out["complex K=48"] = LaurentSymbol(
+            (0.3,) + tuple(complex(*rng.normal(size=2)) for _ in range(48))
+        )
+        out["l_1 = 50"] = make_symbol({1: 50.0, -1: 50.0})
+        out["constant 0.3"] = make_symbol({0: 0.3})
+        return out
+
+    def test_arrays_of_two_or_more_points(self, suite):
+        z = np.exp(1j * np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, size=(64, 9)))
+        points = [z, z.T, z[:, ::2], z[:, 3], z.ravel()[:2], z.ravel()[:3], z.ravel()[:17]]
+        for name, s in self.symbols(suite).items():
+            for p in points:
+                want = polyval_log_weight_z(s, p)
+                assert same_bits(eval_log_weight_z(s, p), want), (name, p.shape)
+
+    def test_scalar_point(self, suite):
+        # a complex scalar, as np.exp(1j * θ) gives for a scalar θ
+        for name, s in self.symbols(suite).items():
+            for theta in (0.7, 2.0, 5.9):
+                z = np.exp(1j * np.asarray(theta))
+                want = polyval_log_weight_z(s, z)
+                assert same_bits(eval_log_weight_z(s, z), want), (name, theta)
+                assert same_bits(eval_log_weight(s, theta), want), (name, theta)
+
+    def test_bandwidth_zero_is_the_constant(self):
+        z = np.exp(1j * np.linspace(0.0, 6.0, 7))
+        for s in (make_symbol({}), make_symbol({0: 0.3}), make_symbol({0: -2.5})):
+            assert same_bits(eval_log_weight_z(s, z), polyval_log_weight_z(s, z))
+            assert same_bits(eval_log_weight_z(s, z[0]), polyval_log_weight_z(s, z[0]))
+
+    def test_one_point_array_within_rounding(self, suite):
+        # numpy multiplies a one-element array in place without FMA, so only
+        # the last place may differ from the polyval form here
+        z = np.exp(1j * np.random.default_rng(6).uniform(0.0, 2.0 * np.pi, size=32))
+        for name, s in self.symbols(suite).items():
+            scale = sum(abs(complex(c)) for c in s.coeffs)
+            for p in z:
+                for one in (np.asarray(p), np.asarray([p])):
+                    gap = np.abs(eval_log_weight_z(s, one) - polyval_log_weight_z(s, one))
+                    assert np.all(gap <= 8 * np.finfo(float).eps * scale), name
 
 
 class TestMoments:
