@@ -1,6 +1,8 @@
 """Command-line front end.
 
 Subcommands: moments, verify, coulomb, cd-check, bs-check, fh-check.
+Each one parses its flags, picks its input and prints; the checks that
+``verify`` prints, and their tolerances, live in :mod:`szego_lab.verify`.
 Exit codes: 0 success, 1 invariant failure, 2 input parse, 3 quadrature,
 4 out-of-range.  Identical configurations produce byte-identical output:
 every random stream is seeded and floats are printed with 17 significant
@@ -16,13 +18,12 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import cdkernel, coulomb, opuc, quadrature, toeplitz, verify
+from . import cdkernel, coulomb, opuc, quadrature, verify
 from .errors import (
     InvariantViolation,
     PositivityError,
     QuadratureError,
     SymbolParseError,
-    SzegoLabError,
 )
 from .symbol import (
     LaurentSymbol,
@@ -134,89 +135,12 @@ def cmd_moments(args) -> int:
     return EXIT_OK
 
 
-def _verify_checks_from_moments(m: MomentSequence, n_max: int) -> list[tuple[str, bool, str]]:
-    checks: list[tuple[str, bool, str]] = []
-    try:
-        log_direct = toeplitz.log_det_minors(m, min(n_max, m.order))
-        checks.append(("positivity", True, "Cholesky factorization succeeded"))
-    except PositivityError as exc:
-        checks.append(("positivity", False, str(exc)))
-        return checks
-    n_top = min(n_max, m.order - 1)
-    if n_top < 0:
-        return checks
-    try:
-        traj = opuc.trajectory(m, n_top + 1)
-    except SzegoLabError as exc:
-        checks.append(("recursion", False, str(exc)))
-        return checks
-    checks.append(("recursion", True, f"ran to degree {n_top + 1}"))
-    log_c0 = float(np.log(m.c0))
-    alphas = np.asarray(traj.alphas)
-    log_product, log_g = toeplitz.log_dn_and_g(alphas, n_top, log_c0)
-    gaps = [verify._relative_gap(d, p) for d, p in zip(log_direct.tolist(), log_product.tolist())]
-    worst = float(np.max(gaps))  # propagates a nan gap (a non-finite route); max() drops it
-    checks.append(
-        (
-            "route-agreement",
-            worst <= verify.ROUTE_AGREEMENT_TOL,
-            f"worst relative gap {fmt(worst)}",
-        )
-    )
-    checks.append(
-        ("alpha-bound", bool(np.all(np.abs(alphas) < 1.0)), "|alpha_n| < 1")
-    )
-    checks.append(
-        ("norm-monotone", bool(np.all(np.diff(traj.norm_sq) <= 1e-15)), "norms nonincreasing")
-    )
-    # log(D_{n+1}/D_n) from the α's, independent of norm-monotone's norm_sq
-    log_ratios = log_c0 + np.cumsum(toeplitz.log_rho_sq(alphas[: n_top + 1]))
-    checks.append(
-        (
-            "ratio-monotone",
-            bool(np.all(np.diff(log_ratios) <= verify.MONOTONE_SLACK)),
-            "D_{n+1}/D_n nonincreasing",
-        )
-    )
-    checks.append(
-        (
-            "g-monotone",
-            bool(np.all(np.diff(log_g) >= -verify.MONOTONE_SLACK)),
-            "G_n nondecreasing",
-        )
-    )
-    problem = opuc.winding_check(traj)
-    checks.append(("zeros-in-disk", problem is None, problem or "all roots strictly inside"))
-    return checks
-
-
 def cmd_verify(args) -> int:
-    checks: list[tuple[str, bool, str]]
-    body = ""
     if getattr(args, "moments", None):
-        m = load_moments_csv(args.moments)
-        checks = _verify_checks_from_moments(m, args.nmax)
+        report, checks = None, verify.moment_checks(load_moments_csv(args.moments), args.nmax)
     else:
-        s = _symbol_from_args(args)
-        try:
-            report = verify.strong_szego_report(s, n_max=args.nmax)
-            checks = [
-                ("positivity", True, "Cholesky factorization succeeded"),
-                ("route-agreement", True, f"within {fmt(verify.ROUTE_AGREEMENT_TOL)}"),
-                ("g-monotone-bounded", True, "G_n nondecreasing and below the target"),
-            ]
-            final = report.rows[-1]
-            checks.append(
-                (
-                    "limit-convergence",
-                    final.abs_err < 1e-6,
-                    f"abs_err {fmt(final.abs_err)} at n={final.n}",
-                )
-            )
-            body = report.to_csv() if args.format == "csv" else report.to_json()
-        except (PositivityError, InvariantViolation) as exc:
-            name = "positivity" if isinstance(exc, PositivityError) else "invariant"
-            checks = [(name, False, str(exc))]
+        report, checks = verify.symbol_checks(_symbol_from_args(args), args.nmax)
+    body = "" if report is None else report.to_csv() if args.format == "csv" else report.to_json()
     return _write_checks(args, body, checks)
 
 

@@ -1,7 +1,8 @@
 """Deterministic text serialization: fixed float formatting, stable JSON.
 
 All floats are printed with 17 significant digits so that identical inputs
-produce byte-identical reports and every value round-trips exactly.
+produce byte-identical reports and every value round-trips exactly.  JSON
+writes a non-finite float as ``Infinity``, ``-Infinity`` or ``NaN``, as :mod:`json` does.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 CSV_SCHEMA = "# schema=1"
+_JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
 def fmt(x) -> str:
@@ -25,7 +27,8 @@ def _json_token(value, indent: int) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return fmt(value)
+        token = fmt(value)
+        return _JSON_NON_FINITE.get(token, token)
     if isinstance(value, str):
         escaped = value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
         return f'"{escaped}"'

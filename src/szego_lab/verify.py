@@ -4,7 +4,9 @@ Everything here composes the lower modules into end-to-end verifications:
 the normalized determinant excess log D_n - (n+1) l_0 against Σ k|l_k|²,
 the Bernstein–Szegő approximation identities, the monotone G-functional
 bounds for truncated log-weights, and the derivative identities for the
-one-parameter family w_t = exp(tL - c_t).
+one-parameter family w_t = exp(tL - c_t).  The checks that ``szego-lab verify``
+prints live here with their tolerances (:func:`symbol_checks`, :func:`moment_checks`),
+and one rule, :func:`g_problem`, judges every G_n sequence.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import opuc, quadrature, toeplitz
-from .errors import InvariantViolation
+from .errors import InvariantViolation, PositivityError, SzegoLabError
 from .symbol import (
     LaurentSymbol,
     MomentSequence,
@@ -33,6 +35,7 @@ ROUTE_AGREEMENT_TOL = 1e-10
 G_BOUND_TOL = 1e-8
 MONOTONE_SLACK = 1e-12
 ERROR_FIT_FLOOR = 1e-12
+LIMIT_CONVERGENCE_TOL = 1e-6
 #: how closely a Bernstein–Szegő approximant must reproduce its data
 BS_APPROX_TOL = 1e-10
 
@@ -104,7 +107,7 @@ def _pair(p: np.ndarray, m: MomentSequence) -> float:
 
 
 # --------------------------------------------------------------------------
-# strong limit report
+# strong limit report, and the checks that `szego-lab verify` prints
 # --------------------------------------------------------------------------
 
 
@@ -187,6 +190,24 @@ def error_slope_fit(rows) -> float | None:
     return float(slope)
 
 
+def _g_pass(s: LaurentSymbol, n_max: int):
+    """(moments to order n_max + 1, α_0..α_{n_max}, log D_n, log G_n for n = 0..n_max)."""
+    m = moments(s, n_max + 1)
+    alphas = opuc.run_to(m, n_max + 1).alphas
+    log_dn, log_g = toeplitz.log_dn_and_g(alphas, n_max, float(np.log(m.c0)))
+    return m, alphas, log_dn, log_g
+
+
+def g_problem(log_g, bound: float | None = None) -> str | None:
+    """None if G_n is nondecreasing within ``MONOTONE_SLACK`` and, given the log of
+    its limit, at most ``bound + G_BOUND_TOL``; else what is wrong.  A nan fails both."""
+    if not np.all(np.diff(log_g) >= -MONOTONE_SLACK):
+        return "is not nondecreasing"
+    if bound is not None and not np.all(log_g <= bound + G_BOUND_TOL):
+        return "exceeds the limit exp(Σ k|l_k|²)"
+    return None
+
+
 def strong_szego_report(
     s: LaurentSymbol,
     n_max: int = 40,
@@ -202,10 +223,8 @@ def strong_szego_report(
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     mean_coeff, target = target_sum(s)
-    m = moments(s, n_max + 1)
-    state = opuc.run_to(m, n_max + 1)
+    m, _, log_products, log_g = _g_pass(s, n_max)
     log_direct = toeplitz.log_det_minors(m, n_max).tolist()
-    log_products, log_g = toeplitz.log_dn_and_g(state.alphas, n_max, float(np.log(m.c0)))
     rows = []
     for n, log_product in enumerate(log_products.tolist()):
         if not routes_agree(log_direct[n], log_product):
@@ -224,10 +243,9 @@ def strong_szego_report(
                 g_n=float(np.exp(log_g[n])),
             )
         )
-    if np.any(np.diff(log_g) < -MONOTONE_SLACK):
-        raise InvariantViolation("G_n is not nondecreasing")
-    if np.any(log_g > target + G_BOUND_TOL):
-        raise InvariantViolation("G_n exceeds the limit exp(Σ k|l_k|²)")
+    problem = g_problem(log_g, target)
+    if problem:
+        raise InvariantViolation(f"G_n {problem}")
     return ConvergenceReport(
         symbol_id=symbol_id,
         route="product",
@@ -243,6 +261,63 @@ def strong_szego_report(
             "g_bound_tol": fmt(G_BOUND_TOL),
         },
     )
+
+
+def symbol_checks(
+    s: LaurentSymbol, n_max: int
+) -> tuple[ConvergenceReport | None, list[tuple[str, bool, str]]]:
+    """(the limit report or None, its checks): a failed report is one FAIL row."""
+    try:
+        report = strong_szego_report(s, n_max=n_max)
+    except (PositivityError, InvariantViolation) as exc:
+        name = "positivity" if isinstance(exc, PositivityError) else "invariant"
+        return None, [(name, False, str(exc))]
+    final = report.rows[-1]
+    return report, [
+        ("positivity", True, "Cholesky factorization succeeded"),
+        ("route-agreement", True, f"within {fmt(ROUTE_AGREEMENT_TOL)}"),
+        ("g-monotone-bounded", True, "G_n nondecreasing and below the target"),
+        (
+            "limit-convergence",
+            final.abs_err < LIMIT_CONVERGENCE_TOL,
+            f"abs_err {fmt(final.abs_err)} at n={final.n}",
+        ),
+    ]
+
+
+def moment_checks(m: MomentSequence, n_max: int) -> list[tuple[str, bool, str]]:
+    """The invariant suite for a moment sequence to degree min(n_max, m.order); a failed
+    positivity or recursion check ends the list, since the later checks read its result."""
+    try:
+        log_direct = toeplitz.log_det_minors(m, min(n_max, m.order))
+    except PositivityError as exc:
+        return [("positivity", False, str(exc))]
+    checks = [("positivity", True, "Cholesky factorization succeeded")]
+    n_top = min(n_max, m.order - 1)
+    if n_top < 0:
+        return checks
+    try:
+        traj = opuc.trajectory(m, n_top + 1)
+    except SzegoLabError as exc:
+        return checks + [("recursion", False, str(exc))]
+    log_c0 = float(np.log(m.c0))
+    alphas = np.asarray(traj.alphas)
+    log_product, log_g = toeplitz.log_dn_and_g(alphas, n_top, log_c0)
+    gaps = [_relative_gap(d, p) for d, p in zip(log_direct.tolist(), log_product.tolist())]
+    worst = float(np.max(gaps))  # propagates a nan gap (a non-finite route); max() drops it
+    # log(D_{n+1}/D_n) from the α's, independent of norm-monotone's norm_sq
+    log_ratios = log_c0 + np.cumsum(toeplitz.log_rho_sq(alphas[: n_top + 1]))
+    ratios_ok = bool(np.all(np.diff(log_ratios) <= MONOTONE_SLACK))
+    problem = opuc.winding_check(traj)
+    return checks + [
+        ("recursion", True, f"ran to degree {n_top + 1}"),
+        ("route-agreement", worst <= ROUTE_AGREEMENT_TOL, f"worst relative gap {fmt(worst)}"),
+        ("alpha-bound", bool(np.all(np.abs(alphas) < 1.0)), "|alpha_n| < 1"),
+        ("norm-monotone", bool(np.all(np.diff(traj.norm_sq) <= 1e-15)), "norms nonincreasing"),
+        ("ratio-monotone", ratios_ok, "D_{n+1}/D_n nonincreasing"),
+        ("g-monotone", g_problem(log_g) is None, "G_n nondecreasing"),
+        ("zeros-in-disk", problem is None, problem or "all roots strictly inside"),
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -354,18 +429,16 @@ def gi_bound_check(s: LaurentSymbol, level: int, n_max: int = 40) -> GIBoundRepo
     G_n must increase and stay below exp(Σ k|l_k|²) for the full weight; the
     Fourier truncation obeys the same bound against its own (smaller) target,
     and the Bernstein–Szegő truncation (α's cut at the level) stays below
-    the full G_n.  Gap sequences are reported as diagnostics, with no
-    asserted decay rate.
+    the full G_n.  Each distinct weight takes one pass (:func:`_g_pass`): at a
+    level of at least the bandwidth the Fourier truncation is the weight itself.
+    Gap sequences are reported as diagnostics, with no asserted decay rate.
     """
     _, target = target_sum(s)
-    m = moments(s, n_max + 1)
-    alphas_full = opuc.run_to(m, n_max + 1).alphas
-    _, log_g_full = toeplitz.log_dn_and_g(alphas_full, n_max)
+    _, alphas_full, _, log_g_full = _g_pass(s, n_max)
 
     truncated = gi_truncate(s, level)
     _, gi_target = target_sum(truncated)
-    m_gi = moments(truncated, n_max + 1)
-    _, log_g_gi = toeplitz.log_dn_and_g(opuc.run_to(m_gi, n_max + 1).alphas, n_max)
+    log_g_gi = log_g_full if truncated == s else _g_pass(truncated, n_max)[3]
 
     _, log_g_bs = toeplitz.log_dn_and_g(alphas_full[:level], n_max)
 
@@ -373,10 +446,9 @@ def gi_bound_check(s: LaurentSymbol, level: int, n_max: int = 40) -> GIBoundRepo
         ("full", log_g_full, target),
         ("fourier-truncated", log_g_gi, gi_target),
     ):
-        if np.any(np.diff(seq) < -MONOTONE_SLACK):
-            raise InvariantViolation(f"G_n for the {name} weight is not nondecreasing")
-        if np.any(seq > bound + G_BOUND_TOL):
-            raise InvariantViolation(f"G_n for the {name} weight exceeds its limit")
+        problem = g_problem(seq, bound)
+        if problem:
+            raise InvariantViolation(f"G_n for the {name} weight {problem}")
     if np.any(log_g_bs > log_g_full + MONOTONE_SLACK):
         raise InvariantViolation("G_n of the BS truncation exceeds the full G_n")
 

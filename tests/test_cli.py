@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from szego_lab import cli, opuc, toeplitz
+from szego_lab.textio import json_text
 
 from conftest import bessel_i
 
@@ -144,6 +145,27 @@ class TestVerify:
         )
         assert code == 1
         assert "# check route-agreement FAIL" in text
+
+    def test_decreasing_g_fails_g_monotone(self, tmp_path, monkeypatch):
+        rows = "\n".join(f"{n},{0.5 ** n},0" for n in range(13))
+        good = tmp_path / "moments.csv"
+        good.write_text("# schema=1\nn,re,im\n" + rows + "\n")
+        real = toeplitz.log_dn_and_g
+
+        def decreasing(alphas, n_max, log_c0=0.0):
+            log_dn, log_g = real(alphas, n_max, log_c0)
+            return log_dn, log_g - 1e-9 * np.arange(n_max + 1)
+
+        monkeypatch.setattr(toeplitz, "log_dn_and_g", decreasing)
+        code, text = run_cli(
+            ["verify", "--moments", str(good), "--nmax", "10"], tmp_path, "r.txt"
+        )
+        assert code == 1
+        assert "# check g-monotone FAIL (G_n nondecreasing)" in text
+        assert text.count("FAIL") == 1
+        code, text = run_cli(["verify", "--coeff", "1=0.5", "--nmax", "10"], tmp_path, "s.txt")
+        assert code == 1
+        assert text == "# check invariant FAIL (G_n is not nondecreasing)\n"
 
     def test_malformed_moments_file_exits_2(self, tmp_path):
         bad = tmp_path / "m.csv"
@@ -302,6 +324,18 @@ class TestDeterminism:
         _, first = run_cli(args, tmp_path, "a.csv")
         _, second = run_cli(args, tmp_path, "b.csv")
         assert first == second
+
+    def test_non_finite_json_floats_parse(self, tmp_path):
+        # both central-difference gaps are 0 at n = 0, so their ratio is inf
+        code, text = run_cli(["fh-check", "--coeff", "1=0.5", "--nmax", "0"], tmp_path)
+        assert code == 0
+        body = json.loads(text.split("# check")[0])
+        assert body["ratio"] == math.inf
+        tokens = json_text([math.inf, -math.inf, math.nan, np.float64(-math.inf), 0.1])
+        assert "Infinity" in tokens and "NaN" in tokens
+        values = json.loads(tokens)
+        assert values[:2] == [math.inf, -math.inf] and math.isnan(values[2])
+        assert values[3:] == [-math.inf, 0.1]
 
     def test_floats_printed_at_seventeen_digits(self, tmp_path):
         _, text = run_cli(["moments", "--coeff", "1=0.5", "--nmax", "1"], tmp_path)

@@ -1,7 +1,12 @@
 """Property tests over random small symbols: the O(n) determinant sums, the recursion,
-the log-weight's Horner loop and seeded gas-integral re-runs."""
+the log-weight's Horner loop, seeded gas-integral re-runs, the checks that
+``verify`` prints and the bytes it prints them in."""
 
+import contextlib
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +14,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from szego_lab import log_dn_and_g, make_symbol, mc_Dn, moments, run_to, trajectory
+from szego_lab import cli, log_dn_and_g, make_symbol, mc_Dn, moments, run_to, trajectory
+from szego_lab import strong_szego_report, verify
 from szego_lab.coulomb import MC_MIN_SAMPLES
 from szego_lab.symbol import eval_log_weight_z
 
@@ -100,3 +106,52 @@ def test_seeded_gas_estimate_reruns_are_identical(s, n, seed):
         first = mc_Dn(s, n, MC_MIN_SAMPLES, seed, workers=workers)
         again = mc_Dn(s, n, MC_MIN_SAMPLES, seed, workers=workers)
         assert (first.value, first.std_err) == (again.value, again.std_err), workers
+
+
+@PROPERTY_SETTINGS
+@given(s=symbols(), n_max=st.integers(0, 30))
+def test_every_moment_check_passes(s, n_max):
+    checks = verify.moment_checks(moments(s, n_max + 1), n_max)
+    assert [name for name, ok, _ in checks if not ok] == [], checks
+    assert len(checks) == 8
+
+
+@PROPERTY_SETTINGS
+@given(s=symbols(), n_max=st.integers(0, 30))
+def test_the_limit_report_holds_its_invariants(s, n_max):
+    # raises unless the routes agree, |α| < 1, and G_n is nondecreasing and bounded
+    report = strong_szego_report(s, n_max)
+    assert [r.n for r in report.rows] == list(range(n_max + 1))
+
+
+def coeff_flags(s) -> list[str]:
+    """``--coeff`` flags that store the coefficients of ``s`` exactly."""
+    flags = [f"--coeff=0={s.mean!r}"]
+    for k in range(1, s.bandwidth + 1):
+        value = complex(s.coeffs[k])
+        flags.append(f"--coeff={k}={value.real!r},{value.imag!r}")
+    return flags
+
+
+def cli_stdout(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+@settings(PROPERTY_SETTINGS, max_examples=10)
+@given(s=symbols(), n_max=st.integers(0, 30))
+def test_verify_reruns_print_the_same_bytes(s, n_max):
+    flags = coeff_flags(s)
+    assert cli._symbol_from_args(cli.build_parser().parse_args(["verify", *flags])) == s
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = str(Path(tmp) / "moments.csv")
+        assert cli.main(["moments", *flags, "--nmax", str(n_max + 1), "--out", csv]) == 0
+        for argv in (
+            ["verify", *flags, "--nmax", str(n_max)],
+            ["verify", *flags, "--nmax", str(n_max), "--format", "json"],
+            ["verify", "--moments", csv, "--nmax", str(n_max)],
+        ):
+            first = cli_stdout(argv)
+            assert first[1] and first == cli_stdout(argv), argv

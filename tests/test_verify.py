@@ -98,6 +98,46 @@ class TestStrongSzegoReport:
         assert verify.routes_agree(0.0, 1e-14) and verify.routes_agree(1.0, 1.0 + 1e-11)
         assert not verify.routes_agree(1.0, 1.0 + 1e-9)
 
+    @pytest.mark.parametrize(
+        "shift, match",
+        [(-1e-9, "G_n is not nondecreasing"), (1e-6, "G_n exceeds the limit")],
+    )
+    def test_g_rule_failures_raise(self, cos_symbol, monkeypatch, shift, match):
+        real = toeplitz.log_dn_and_g
+
+        def broken(alphas, n_max, log_c0=0.0):
+            log_dn, log_g = real(alphas, n_max, log_c0)
+            return log_dn, log_g + shift * np.arange(n_max + 1)
+
+        monkeypatch.setattr(toeplitz, "log_dn_and_g", broken)
+        with pytest.raises(InvariantViolation, match=match):
+            strong_szego_report(cos_symbol, 5)
+
+    def test_g_problem_names_the_first_broken_rule(self):
+        assert verify.g_problem(np.array([0.0, 0.1, 0.1]), 0.1) is None
+        assert verify.g_problem(np.array([0.0, 0.1, 0.1 - 1e-11])) == "is not nondecreasing"
+        assert verify.g_problem(np.array([0.0, 0.2]), 0.1).startswith("exceeds the limit")
+        assert verify.g_problem(np.array([0.0, 0.2])) is None  # no bound given
+        assert verify.g_problem(np.array([0.0, math.nan])) == "is not nondecreasing"
+        assert verify.g_problem(np.array([math.nan]), 0.1).startswith("exceeds the limit")
+
+    def test_symbol_checks_carry_the_report_or_one_failure(self, cos_symbol, monkeypatch):
+        report, checks = verify.symbol_checks(cos_symbol, 20)
+        assert report.rows[-1].n == 20
+        assert [name for name, _, _ in checks] == [
+            "positivity", "route-agreement", "g-monotone-bounded", "limit-convergence"
+        ]
+        assert all(ok for _, ok, _ in checks)
+        _, checks = verify.symbol_checks(cos_symbol, 0)
+        assert checks[-1][1] is False  # abs_err at n = 0 is above LIMIT_CONVERGENCE_TOL
+        minors = toeplitz.log_det_minors
+        monkeypatch.setattr(
+            toeplitz, "log_det_minors", lambda m, n: minors(m, n) * (1.0 + 1e-8)
+        )
+        report, checks = verify.symbol_checks(cos_symbol, 5)
+        assert report is None
+        assert len(checks) == 1 and checks[0][:2] == ("invariant", False)
+
     def test_csv_and_json_forms(self, cos_symbol):
         rep = strong_szego_report(cos_symbol, 4)
         text = rep.to_csv()
@@ -187,6 +227,47 @@ class TestGIBounds:
         rep = gi_bound_check(two_band_symbol, 2, 20)
         for row in rep.rows:
             assert row.log_g_bs <= row.log_g_full + 1e-12
+
+    @staticmethod
+    def moment_passes(monkeypatch) -> list:
+        """The symbols that ``verify.moments`` is called with, in call order."""
+        calls = []
+
+        def counted(s, n):
+            calls.append(s)
+            return moments(s, n)
+
+        monkeypatch.setattr(verify, "moments", counted)
+        return calls
+
+    @pytest.mark.parametrize("level", [1, 2, 8])
+    def test_one_pass_at_or_above_the_bandwidth(self, cos_symbol, monkeypatch, level):
+        calls = self.moment_passes(monkeypatch)
+        rep = gi_bound_check(cos_symbol, level, 30)
+        assert calls == [cos_symbol]
+        assert [r.log_g_gi for r in rep.rows] == [r.log_g_full for r in rep.rows]
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_two_passes_below_the_bandwidth(self, two_band_symbol, monkeypatch, level):
+        calls = self.moment_passes(monkeypatch)
+        gi_bound_check(two_band_symbol, level, 20)
+        assert calls == [two_band_symbol, verify.gi_truncate(two_band_symbol, level)]
+
+    def test_decreasing_g_of_the_truncated_weight_is_named(self, two_band_symbol, monkeypatch):
+        truncated = verify.gi_truncate(two_band_symbol, 1)
+        real = verify._g_pass
+
+        def broken(s, n_max):
+            m, alphas, log_dn, log_g = real(s, n_max)
+            if s == truncated:
+                log_g = log_g - 1e-9 * np.arange(n_max + 1)
+            return m, alphas, log_dn, log_g
+
+        monkeypatch.setattr(verify, "_g_pass", broken)
+        with pytest.raises(
+            InvariantViolation, match="fourier-truncated weight is not nondecreasing"
+        ):
+            gi_bound_check(two_band_symbol, 1, 20)
 
 
 def pointwise_family(s, t):
