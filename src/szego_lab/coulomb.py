@@ -2,17 +2,27 @@
 
 D_n equals the partition-function integral
 [(n+1)!]^{-1} ∫ |Π_{k<j}(z_k - z_j)|² e^{Σ L(θ_j)} Π dθ_j/2π over the
-(n+1)-torus, with z_j = e^{iθ_j}.  Low dimensions are handled by exact
-tensor quadrature and moderate dimensions by seeded uniform Monte Carlo.
-Both take z = e^{iθ} once per point, as cos θ + i sin θ with no complex
-exponential (:func:`quadrature.circle_points`), evaluate L on that same z
-through :func:`symbol.eval_log_weight_z`, and form every pair gap from its
+(n+1)-torus, with z_j = e^{iθ_j}, which is Heine's identity
+D_n(w) = E[Π_j w(θ_j)] over the eigenvalues e^{iθ_j} of an (n+1)×(n+1) CUE
+matrix.  Low dimensions are handled by exact tensor quadrature, which takes
+z = e^{iθ} once per point, as cos θ + i sin θ with no complex exponential
+(:func:`quadrature.circle_points`), evaluates L on that same z through
+:func:`symbol.eval_log_weight_z`, and forms every pair gap from its
 coordinates, |z_k - z_j|² = (x_k - x_j)² + (y_k - y_j)², with no trigonometry
-per pair.  Monte Carlo carries the Vandermonde and the factorial prefactor in
-log space, and draws in batches of ``_MC_BATCH`` (8192) samples so that a
-batch's temporaries stay in cache; z, its coordinates, the rows of pair gaps
-and their sums go into buffers that a worker allocates once and every batch
-reuses, so a batch does not fault in fresh pages for them.
+per pair.
+
+Moderate dimensions are handled by seeded Monte Carlo over CUE(N), N = n+1,
+itself, so a sample is Π_j w(θ_j) with relative variance
+D_n(w²)/D_n(w)² - 1 (Killip & Nenciu, arXiv:math/0410034).  A draw is the
+paraorthogonal Φ_N of the Szegő recursion Φ_{k+1} = zΦ_k - ᾱ_k Φ_k* on
+independent α_k, |α_k|² ~ Beta(1, N-k-1) with uniform phases for k < N-1 and
+|α_{N-1}| = 1; its zeros are the eigenvalues.  No zero is computed: with
+l_0 = 0, Σ_j L(θ_j) = 2 Re Σ_k l_k p_k needs the power sums p_k = Σ_j z_j^k,
+k ≤ K, and Newton's identities give them from the top min(K, N)
+coefficients of Φ_N, which the recursion carries together with the bottom
+ones and nothing in between.  Samples are drawn in batches of ``_MC_BATCH``
+(8192) so that a batch's temporaries stay in cache, into buffers that a
+worker allocates once and every batch reuses.
 """
 
 from __future__ import annotations
@@ -40,7 +50,11 @@ _MC_BATCH = 8192
 
 @dataclass(frozen=True)
 class CoulombEstimate:
-    """One determinant estimate; std_err is zero exactly for quadrature."""
+    """One determinant estimate, by tensor quadrature or by Monte Carlo over CUE(n+1).
+
+    std_err is zero exactly for quadrature, and for Monte Carlo on a constant
+    L, where every sample of Π_j w(θ_j) is e^{(n+1) l_0} exactly.
+    """
 
     n: int
     value: float
@@ -71,32 +85,26 @@ def _sq_gaps(xa, ya, xb, yb, dx=None, dy=None):
     return dx
 
 
-def _add_log_gaps(total, x, y, dx, dy, row_sum) -> np.ndarray:
-    """total += Σ_{k<j} log |z_k - z_j|², from the coordinates z = x + iy of shape (n+1, ...).
+def _log_vandermonde_sq(z: np.ndarray) -> np.ndarray:
+    """Σ_{k<j} log |z_k - z_j|² over the first axis of an (n+1, ...) array of points.
 
     One row of pairs (k, k+1..n) at a time, each a vector operation over the
-    trailing (sample) axes, written into the leading rows of the n-row gap
-    buffers dx, dy and summed through row_sum; coincident points contribute -inf.
+    trailing axes, from contiguous copies of x and y and into gap buffers
+    allocated once per call; coincident points contribute -inf.
     """
-    pairs = x.shape[0] - 1
+    x = np.ascontiguousarray(z.real)
+    y = np.ascontiguousarray(z.imag)
+    pairs = max(z.shape[0] - 1, 0)
+    dx = np.empty((pairs, *z.shape[1:]))
+    dy = np.empty_like(dx)
+    total = np.zeros(z.shape[1:])
+    row_sum = np.empty_like(total)
     with np.errstate(divide="ignore"):
         for k in range(pairs):
             rows = pairs - k
             gaps = _sq_gaps(x[k], y[k], x[k + 1 :], y[k + 1 :], dx[:rows], dy[:rows])
             total += np.sum(np.log(gaps, out=gaps), axis=0, out=row_sum)
     return total
-
-
-def _log_vandermonde_sq(z: np.ndarray) -> np.ndarray:
-    """Σ_{k<j} log |z_k - z_j|² over the first axis of an (n+1, ...) array of points.
-
-    The gaps come from contiguous copies of x and y, in buffers allocated once per call.
-    """
-    x = np.ascontiguousarray(z.real)
-    y = np.ascontiguousarray(z.imag)
-    dx = np.empty((max(z.shape[0] - 1, 0), *z.shape[1:]))
-    total = np.zeros(z.shape[1:])
-    return _add_log_gaps(total, x, y, dx, np.empty_like(dx), np.empty_like(total))
 
 
 def vandermonde_sq(theta) -> float:
@@ -151,41 +159,113 @@ def _exact_on_grid(s: LaurentSymbol, n: int, m: int) -> float:
     return total / (6.0 * m**3)
 
 
+def _substream(seed: int, index: int) -> np.random.SeedSequence:
+    """Worker ``index``'s child of ``SeedSequence(seed)``: ``spawn(workers)[index]`` in O(1)."""
+    return np.random.SeedSequence(seed, spawn_key=(index,))
+
+
+def _conj_alphas(u: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Rows ᾱ_0..ᾱ_{N-1} of Killip–Nenciu coefficients from (batch, 2N-1) uniforms on [0, 1).
+
+    The last N columns of ``u`` are the phases ψ_k = 2πu of α_k = r_k e^{iψ_k}.
+    The first N-1 give r_k² = -expm1(log(1-u)/(N-k-1)) = 1 - (1-u)^{1/(N-k-1)},
+    a Beta(1, N-k-1) draw (1-u lies in (0, 1], so the log is finite), and
+    r_{N-1} = 1.  ``out`` is complex and ``scratch`` real, both (N, batch).
+    """
+    points = out.shape[0]
+    np.multiply(u[:, points - 1 :].T, -2.0 * np.pi, out=scratch)
+    circle_points(scratch, out=out)  # e^{-iψ_k}
+    r = np.subtract(1.0, u[:, : points - 1].T, out=scratch[:-1])
+    np.log(r, out=r)
+    r /= np.arange(points - 1, 0, -1.0)[:, None]
+    np.expm1(r, out=r)
+    np.negative(r, out=r)
+    out[:-1] *= np.sqrt(r, out=r)
+    return out
+
+
+def _top_coefficients(abar, top, bottom, spare, scratch) -> np.ndarray:
+    """Top coefficients of the monic Φ_N that Φ_{k+1} = zΦ_k - ᾱ_k Φ_k* builds from Φ_0 = 1.
+
+    Row m of ``top`` is t_m, the coefficient of z^{k-m} in Φ_k, and row j of
+    ``bottom`` is b_j, that of z^j, for m, j ≤ M (M + 1 rows), zero past the
+    degree.  Φ_k* holds conj(b_{m-1}) at z^{k+1-m} and conj(t_j) at z^j, so a
+    step is t_m ← t_m - ᾱ conj(b_{m-1}) and b_j ← b_{j-1} - ᾱ conj(t_j), with
+    t_0 = 1 and b_{-1} = 0; ``spare`` and ``scratch`` are buffers of their shape.
+    """
+    top.fill(0.0)
+    top[0] = 1.0
+    bottom.fill(0.0)
+    bottom[0] = 1.0
+    for a in abar:
+        np.conjugate(top, out=spare)
+        spare *= a  # ᾱ conj(t_j), j = 0..M
+        shifted = np.conjugate(bottom[:-1], out=scratch[1:])
+        top[1:] -= np.multiply(shifted, a, out=shifted)  # ᾱ conj(b_{m-1}), m = 1..M
+        np.subtract(bottom[:-1], spare[1:], out=scratch[1:])
+        np.negative(spare[0], out=scratch[0])
+        bottom, scratch = scratch, bottom
+    return top
+
+
+def _log_weight_sums(
+    l: np.ndarray, top: np.ndarray, rows: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Σ_j L(θ_j) = 2 Re Σ_k l_k p_k over the zeros z_j = e^{iθ_j} of Φ_N, for l_0 = 0.
+
+    The power sums p_k = Σ_j z_j^k, k = 1..K, come from Newton's identities on
+    the top coefficients t_m = (-1)^m e_m of Φ_N, zero past m = N:
+    p_k = -k t_k - Σ_{0<m<k} t_m p_{k-m}.  ``rows`` is a complex buffer of K + 2
+    rows: the K power sums, a product and the pairing; ``out`` is real.
+    """
+    ends = top.shape[0] - 1
+    *sums, product, pairing = rows
+    pairing.fill(0.0)
+    for k, l_k in enumerate(l, start=1):
+        p_k = sums[k - 1]
+        if k <= ends:
+            np.multiply(top[k], -k, out=p_k)
+        else:
+            p_k.fill(0.0)
+        for m in range(1, min(k - 1, ends) + 1):
+            p_k -= np.multiply(top[m], sums[k - 1 - m], out=product)
+        pairing += np.multiply(p_k, l_k, out=product)
+    return np.multiply(pairing.real, 2.0, out=out)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # reported by _require_finite_positive
 def _mc_worker(task) -> tuple[float, float, int, int]:
     """(Σf·2^-k, Σf²·2^-2k, count, k) over one worker's substream, deterministic given the task.
 
-    k ≥ 0 is the largest binary exponent of a batch maximum so far, so that f·2^-k ≤ 1
-    and its square cannot overflow when f does not; scaling by 2^-k is exact.
+    Each sample is f = Π_j w(θ_j) over the eigenvalues e^{iθ_j} of one CUE(n+1)
+    draw, whose mean is D_n(w).  k ≥ 0 is the largest binary exponent of a
+    batch maximum so far, so that f·2^-k ≤ 1 and its square cannot overflow
+    when f does not; scaling by 2^-k is exact.
     """
-    coeffs, n, count, seed, index, workers = task
-    s = LaurentSymbol(tuple(coeffs))
-    child = np.random.SeedSequence(seed).spawn(workers)[index]
-    rng = np.random.default_rng(child)
-    log_prefactor = -math.lgamma(n + 2)
+    coeffs, n, count, seed, index = task
+    l = np.asarray(coeffs, dtype=complex)  # l_1..l_K; the samples see l_0 = 0
+    points = n + 1
+    rng = np.random.default_rng(_substream(seed, index))
     total = 0.0
     total_sq = 0.0
     k = 0
     done = 0
-    # one set of buffers for every batch: z sample by sample for L, its
-    # coordinates point by point for the gaps, the gap rows and the sums
+    # one set of buffers for every batch: the uniforms sample by sample, the
+    # ᾱ_k row by row, the ends of Φ_k, and the power sums with their pairing
     width = min(_MC_BATCH, count)
-    z_rows = np.empty((width, n + 1), dtype=complex)
-    xy = np.empty((2, n + 1, width))
-    gap_rows = np.empty((2, n, width))
-    sums = np.empty((2, width))
+    u_rows = np.empty((width, 2 * points - 1))
+    angle_rows = np.empty((points, width))
+    abar_rows = np.empty((points, width), dtype=complex)
+    end_rows = np.empty((4, min(l.size, points) + 1, width), dtype=complex)
+    sum_rows = np.empty((l.size + 2, width), dtype=complex)
+    f_row = np.empty(width)
     while done < count:
         batch = min(_MC_BATCH, count - done)
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=(batch, n + 1))
-        z = circle_points(theta, out=z_rows[:batch])
-        x, y = xy[..., :batch]
-        np.copyto(x, z.real.T)
-        np.copyto(y, z.imag.T)
-        log_f, row_sum = sums[:, :batch]
-        log_f.fill(0.0)
-        _add_log_gaps(log_f, x, y, *gap_rows[..., :batch], row_sum)
-        log_f += np.sum(eval_log_weight_z(s, z), axis=-1)
-        f = np.exp(log_f + log_prefactor)
+        u = rng.random(out=u_rows[:batch])
+        abar = _conj_alphas(u, abar_rows[:, :batch], angle_rows[:, :batch])
+        top = _top_coefficients(abar, *end_rows[..., :batch])
+        f = _log_weight_sums(l, top, sum_rows[:, :batch], f_row[:batch])
+        np.exp(f, out=f)
         shift = max(0, int(np.frexp(np.max(f))[1]) - k)
         total, total_sq, k = math.ldexp(total, -shift), math.ldexp(total_sq, -2 * shift), k + shift
         np.ldexp(f, -k, out=f)
@@ -199,10 +279,10 @@ def _mc_worker(task) -> tuple[float, float, int, int]:
 def mc_Dn(
     s: LaurentSymbol, n: int, samples: int, seed: int, workers: int = 1
 ) -> CoulombEstimate:
-    """Uniform-sampling Monte Carlo estimate of D_n with a standard error.
+    """Monte Carlo estimate of D_n = E[Π_j w(θ_j)] over CUE(n+1) draws, with a standard error.
 
-    Deterministic given (seed, samples, workers): worker substreams are
-    spawned from the seed and the partial sums are reduced in worker order.
+    Deterministic given (seed, samples, workers): worker i draws from the
+    seed's i-th spawned substream and the partial sums are reduced in worker order.
     The samples see l_0 = 0, and D_n(e^{l_0} w) = e^{(n+1) l_0} D_n(w) scales the result.
     """
     if not 1 <= n <= MC_MAX_N:
@@ -213,11 +293,7 @@ def mc_Dn(
         raise ValueError("workers must be positive")
     base, extra = divmod(samples, workers)
     counts = [base + (1 if i < extra else 0) for i in range(workers)]
-    tasks = [
-        ((0.0, *s.coeffs[1:]), n, counts[i], seed, i, workers)
-        for i in range(workers)
-        if counts[i] > 0
-    ]
+    tasks = [(s.coeffs[1:], n, counts[i], seed, i) for i in range(workers) if counts[i] > 0]
     processes = min(len(tasks), os.cpu_count() or 1)
     if processes > 1:
         with multiprocessing.get_context("fork").Pool(processes) as pool:

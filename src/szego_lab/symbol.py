@@ -187,8 +187,10 @@ class MomentSequence:
 
 
 def _grid_moments(w: Callable[[np.ndarray], np.ndarray], n_max: int, m: int) -> np.ndarray:
-    values = np.asarray(w(quadrature.angles(m)), dtype=float)
-    spectrum = np.fft.rfft(values) / m
+    # an overflowing weight is reported once, as the non-finite grid, by _double_until_stagnant
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.asarray(w(quadrature.angles(m)), dtype=float)
+        spectrum = np.fft.rfft(values) / m
     if n_max >= spectrum.size:
         raise QuadratureError(f"grid of {m} points cannot resolve moment order {n_max}")
     # a copy, not a view: the rest of the spectrum is freed before the next grid

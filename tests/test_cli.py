@@ -73,6 +73,24 @@ class TestMoments:
         assert "non-finite" in captured.err
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--coeff", "0=800", "--nmax", "3"],
+            ["verify", "--coeff", "0=800", "--coeff", "1=0.5", "--nmax", "10"],
+            ["bs-check", "--coeff", "0=800"],
+            ["cd-check", "--coeff", "0=800"],
+        ],
+    )
+    def test_overflowing_grid_is_one_line_on_stderr(self, capsys, argv):
+        # the non-finite grid is reported once, with no overflow warning before it
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("szego-lab: quadrature error: ") and err.count("\n") == 1
+
+
 class TestVerify:
     def test_zero_weight_passes(self, tmp_path):
         code, text = run_cli(["verify", "--nmax", "10"], tmp_path)
@@ -238,8 +256,9 @@ class TestCoulomb:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_large_l0_is_carried_exactly(self, capsys):
-        # D_3(e^{100} w) = e^{400} D_3(w): the samples never see l_0
-        argv = ["coulomb", "--n", "3", "--samples", "10000"]
+        # D_3(e^{100} w) = e^{400} D_3(w): the samples never see l_0; l_1 makes
+        # them vary, since for a constant L every CUE sample is e^{4 l_0} exactly
+        argv = ["coulomb", "--coeff", "1=0.5", "--n", "3", "--samples", "10000"]
         assert cli.main(argv + ["--coeff", "0=100"]) == 0
         shifted = json.loads(capsys.readouterr().out)
         assert cli.main(argv) == 0

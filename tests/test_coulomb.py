@@ -20,8 +20,9 @@ from szego_lab import (
 from szego_lab import coulomb
 from szego_lab.symbol import LaurentSymbol, eval_log_weight, eval_log_weight_z
 from szego_lab.toeplitz import assemble
+from szego_lab.verify import scaled_symbol
 
-from conftest import polyval_log_weight_z, same_bits
+from conftest import same_bits
 
 
 def sin_log_pair_gaps(theta):
@@ -53,36 +54,34 @@ def unbuffered_log_vandermonde_sq(z):
     return total
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def reference_mc_worker(task):
-    """``coulomb._mc_worker`` with z = exp(1jθ), unbuffered gap rows and ``polyval`` L.
+def reference_cue_zeros(n, count, seed, index, workers):
+    """Zeros of the paraorthogonal Φ_{n+1} of each of ``count`` CUE(n+1) draws, in one shot.
 
-    The reference for the bits of the Monte Carlo kernel, which takes z from
-    cos/sin, L from an in-place Horner loop and the gap rows from reused buffers.
+    The worker's (count, 2N-1) uniforms, from ``SeedSequence(seed).spawn(workers)[index]``:
+    α_k = sqrt(1 - (1-u)^{1/(N-k-1)}) e^{2πiu'} with |α_{N-1}| = 1, every
+    coefficient of Φ_N by the textbook Szegő recursion, and the zeros as
+    ``np.roots`` takes them, the eigenvalues of the companion matrix, for
+    every draw in one batched call.
     """
-    coeffs, n, count, seed, index, workers = task
-    s = LaurentSymbol(tuple(coeffs))
+    points = n + 1
     child = np.random.SeedSequence(seed).spawn(workers)[index]
-    rng = np.random.default_rng(child)
-    log_prefactor = -math.lgamma(n + 2)
-    total = 0.0
-    total_sq = 0.0
-    k = 0
-    done = 0
-    while done < count:
-        batch = min(coulomb._MC_BATCH, count - done)
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=(batch, n + 1))
-        z = np.exp(1j * theta)
-        log_f = unbuffered_log_vandermonde_sq(z.T)
-        log_f += np.sum(polyval_log_weight_z(s, z), axis=-1)
-        f = np.exp(log_f + log_prefactor)
-        shift = max(0, int(np.frexp(np.max(f))[1]) - k)
-        total, total_sq, k = math.ldexp(total, -shift), math.ldexp(total_sq, -2 * shift), k + shift
-        np.ldexp(f, -k, out=f)
-        total += float(np.sum(f))
-        total_sq += float(np.sum(f * f))
-        done += batch
-    return total, total_sq, count, k
+    u = np.random.default_rng(child).random((count, 2 * points - 1))
+    alpha = np.exp(2j * np.pi * u[:, points - 1 :])
+    beta_exponents = 1.0 / np.arange(points - 1, 0, -1)
+    alpha[:, :-1] *= np.sqrt(1.0 - (1.0 - u[:, : points - 1]) ** beta_exponents)
+    phi = np.ones((count, 1), dtype=complex)  # Φ_k, highest degree first
+    for k in range(points):
+        star = np.conj(phi[:, ::-1])  # Φ_k*(z) = z^k conj(Φ_k(1/z̄))
+        shifted = np.pad(phi, ((0, 0), (0, 1)))  # zΦ_k
+        phi = shifted - np.conj(alpha[:, k : k + 1]) * np.pad(star, ((0, 0), (1, 0)))
+    companion = np.zeros((count, points, points), dtype=complex)
+    companion[:, 0, :] = -phi[:, 1:]
+    companion[:, np.arange(1, points), np.arange(points - 1)] = 1.0
+    return np.linalg.eigvals(companion)
+
+
+def cholesky_Dn(s, n):
+    return math.exp(log_det_direct(assemble(moments(s, n), n)))
 
 
 class TestVandermonde:
@@ -167,15 +166,6 @@ class TestBufferedPairGaps:
         assert same_bits(coulomb._log_vandermonde_sq(z), np.zeros(3))
         assert same_bits(coulomb._log_vandermonde_sq(z[:, 0]), 0.0)
 
-    @pytest.mark.parametrize("n", range(1, coulomb.MC_MAX_N + 1))
-    @pytest.mark.parametrize("count", [20_001, 2 * coulomb._MC_BATCH + 1])
-    def test_worker_is_the_reference_kernel_bit_for_bit(self, suite, n, count):
-        for name in ("two-band", "bernstein-szego"):
-            # complex l_k by rotation, and l_0 = 0 as mc_Dn passes it
-            coeffs = [complex(c) * np.exp(0.7j * k) for k, c in enumerate(suite[name].coeffs)]
-            task = ((0.0, *coeffs[1:]), n, count, 23, 1, 2)
-            assert coulomb._mc_worker(task) == reference_mc_worker(task), name
-
 
 class TestLogWeightCore:
     def test_theta_form_is_the_z_core_bitwise(self, suite):
@@ -219,9 +209,9 @@ class TestExactQuadrature:
 
 class TestMonteCarlo:
     def test_lebesgue_n2_covers_unity(self):
+        # every CUE sample of Π_j w(θ_j) is exactly 1
         est = mc_Dn(make_symbol({}), 2, samples=1_000_000, seed=11)
-        assert abs(est.value - 1.0) <= 3.0 * est.std_err
-        assert est.std_err > 0.0
+        assert est.value == 1.0 and est.std_err == 0.0
 
     def test_cosine_n2_covers_cholesky_value(self, cos_symbol):
         truth = math.exp(log_det_direct(assemble(moments(cos_symbol, 2), 2)))
@@ -279,19 +269,56 @@ class TestMonteCarlo:
         assert hits >= 99
 
     @pytest.mark.parametrize("count", [20_001, 2 * coulomb._MC_BATCH + 1])
-    def test_worker_batches_match_a_one_shot_reference(self, two_band_symbol, count):
-        # the same (count, n+1) stream in one draw, through the sin formula and
-        # the θ form of the log-weight: a dropped, repeated or reordered draw shows
-        n, seed, index, workers = 4, 17, 1, 3
-        task = (two_band_symbol.coeffs, n, count, seed, index, workers)
-        total, total_sq, done, k = coulomb._mc_worker(task)
+    def test_worker_batches_match_a_one_shot_reference(self, suite, count):
+        # the same (count, 2N-1) stream in one draw, through every coefficient of
+        # Φ_N and its zeros: a dropped, repeated or reordered draw shows, and the
+        # K = 48 Bernstein–Szegő symbol runs Newton's identities past N
+        seed, index, workers = 17, 1, 3
+        for n in range(1, coulomb.MC_MAX_N + 1):
+            zeros = reference_cue_zeros(n, count, seed, index, workers)
+            assert np.max(np.abs(np.abs(zeros) - 1.0)) <= 1e-12, n
+            for name in ("cosine", "two-band", "bernstein-szego"):
+                # complex l_k by rotation, and l_0 = 0 as the samples see it
+                coeffs = [complex(c) * np.exp(0.7j * k) for k, c in enumerate(suite[name].coeffs)]
+                total, total_sq, done, k = coulomb._mc_worker((coeffs[1:], n, count, seed, index))
+                s = LaurentSymbol((0.0, *coeffs[1:]))
+                f = np.exp(np.sum(eval_log_weight_z(s, zeros), axis=-1))
+                assert done == count
+                assert math.ldexp(total, k) == pytest.approx(float(np.sum(f)), rel=1e-12), (name, n)
+                assert math.ldexp(total_sq, 2 * k) == pytest.approx(
+                    float(np.sum(f * f)), rel=1e-12
+                ), (name, n)
+
+    @pytest.mark.parametrize(
+        "seed, workers, index", [(7, 4, 3), (0, 1, 0), (123456789, 64, 63), (2**40, 3, 1)]
+    )
+    def test_substream_is_the_spawned_child(self, seed, workers, index):
         child = np.random.SeedSequence(seed).spawn(workers)[index]
-        theta = np.random.default_rng(child).uniform(0.0, 2.0 * np.pi, size=(count, n + 1))
-        log_f = sin_log_pair_gaps(theta) + np.sum(eval_log_weight(two_band_symbol, theta), axis=-1)
-        f = np.exp(log_f - math.lgamma(n + 2))
-        assert done == count
-        assert math.ldexp(total, k) == pytest.approx(float(np.sum(f)), rel=1e-13)
-        assert math.ldexp(total_sq, 2 * k) == pytest.approx(float(np.sum(f * f)), rel=1e-13)
+        direct = coulomb._substream(seed, index)
+        assert np.array_equal(direct.generate_state(8), child.generate_state(8))
+        assert np.random.default_rng(direct).random() == np.random.default_rng(child).random()
+
+    def test_suite_weights_within_four_sigma_of_cholesky(self, suite):
+        for name, s in suite.items():
+            for n in range(1, coulomb.MC_MAX_N + 1):
+                truth = cholesky_Dn(s, n)
+                est = mc_Dn(s, n, samples=50_000, seed=100 + n)
+                # Lebesgue: std_err is 0, and the truth 1 up to the Cholesky rounding
+                assert abs(est.value - truth) <= 4.0 * est.std_err + 1e-12 * truth, (name, n)
+
+    @pytest.mark.parametrize("name", ["cosine", "two-band"])
+    def test_relative_variance_is_the_determinant_ratio(self, suite, name):
+        # under CUE, E[f^j] = D_n(w^j), so Var f / (E f)² = D_n(w²)/D_n(w)² - 1;
+        # the tolerance is 5 delta-method standard errors of the observed ratio
+        s, n, samples = suite[name], 8, 200_000
+        d1, d2, d3, d4 = (cholesky_Dn(scaled_symbol(s, j), n) for j in (1, 2, 3, 4))
+        predicted = d2 / d1**2 - 1.0
+        est = mc_Dn(s, n, samples=samples, seed=29)
+        observed = samples * (est.std_err / est.value) ** 2
+        g1, g2 = -2.0 * d2 / d1**3, 1.0 / d1**2
+        var_f, var_f2, cov = d2 - d1 * d1, d4 - d2 * d2, d3 - d1 * d2
+        spread = g1 * g1 * var_f + 2.0 * g1 * g2 * cov + g2 * g2 * var_f2
+        assert abs(observed - predicted) <= 5.0 * math.sqrt(spread / samples)
 
     def test_range_checks(self, cos_symbol):
         with pytest.raises(ValueError):
