@@ -54,6 +54,60 @@ def unbuffered_log_vandermonde_sq(z):
     return total
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def reference_mc_worker(task, workers):
+    """``coulomb._mc_worker`` with fresh arrays per batch and every coefficient of Φ_N.
+
+    The reference for the bits of the Monte Carlo kernel, which draws into
+    reused buffers, carries only the top and bottom min(K, N)+1 coefficients
+    of Φ_k and keeps the power sums in reused rows.  Here a batch's uniforms
+    are a new array, the recursion Φ_{k+1}[m] = Φ_k[m] - conj(Φ_k*)[m-1]·ᾱ_k
+    builds each Φ_k as a new list of rows, highest degree first, and Newton's
+    identities take p_k from every coefficient of Φ_N; the substream is
+    ``SeedSequence(seed).spawn(workers)[index]``.
+    """
+    coeffs, n, count, seed, index = task
+    points = n + 1
+    child = np.random.SeedSequence(seed).spawn(workers)[index]
+    rng = np.random.default_rng(child)
+    total = 0.0
+    total_sq = 0.0
+    k = 0
+    done = 0
+    while done < count:
+        batch = min(coulomb._MC_BATCH, count - done)
+        u = rng.random((batch, 2 * points - 1))
+        psi = np.ascontiguousarray(u[:, points - 1 :].T) * (-2.0 * np.pi)
+        abar = np.cos(psi) + 1j * np.sin(psi)  # e^{-iψ_k}, row k
+        ratio = np.log(1.0 - np.ascontiguousarray(u[:, : points - 1].T))
+        ratio /= np.arange(points - 1, 0, -1.0)[:, None]
+        abar[:-1] *= np.sqrt(-np.expm1(ratio))
+        phi = [np.ones(batch, dtype=complex)]
+        for a in abar:
+            star = [np.conj(c) for c in reversed(phi)]  # Φ_k* highest degree first
+            phi = (
+                [phi[0]]
+                + [phi[m] - star[m - 1] * a for m in range(1, len(phi))]
+                + [-(star[-1] * a)]
+            )
+        sums = []
+        pairing = np.zeros(batch, dtype=complex)
+        for j, l_j in enumerate(coeffs, start=1):
+            p_j = phi[j] * -j if j <= points else np.zeros(batch, dtype=complex)
+            for m in range(1, min(j - 1, points) + 1):
+                p_j = p_j - phi[m] * sums[j - 1 - m]
+            sums.append(p_j)
+            pairing = pairing + p_j * l_j
+        f = np.exp(pairing.real * 2.0)
+        shift = max(0, int(np.frexp(np.max(f))[1]) - k)
+        total, total_sq, k = math.ldexp(total, -shift), math.ldexp(total_sq, -2 * shift), k + shift
+        f = np.ldexp(f, -k)
+        total += float(np.sum(f))
+        total_sq += float(np.sum(f * f))
+        done += batch
+    return total, total_sq, count, k
+
+
 def reference_cue_zeros(n, count, seed, index, workers):
     """Zeros of the paraorthogonal Φ_{n+1} of each of ``count`` CUE(n+1) draws, in one shot.
 
@@ -144,7 +198,7 @@ class TestPairGaps:
 
 
 class TestBufferedPairGaps:
-    """The reused gap buffers against the fresh-array row loop, bit for bit."""
+    """Reused buffers against fresh arrays, bit for bit: the pair-gap rows and the gas worker."""
 
     def test_transposed_batch_view(self):
         z = np.exp(1j * np.random.default_rng(8).uniform(0.0, 2.0 * np.pi, size=(300, 9)))
@@ -165,6 +219,16 @@ class TestBufferedPairGaps:
         z = np.exp(1j * np.array([[0.3, 1.1, 2.0]]))
         assert same_bits(coulomb._log_vandermonde_sq(z), np.zeros(3))
         assert same_bits(coulomb._log_vandermonde_sq(z[:, 0]), 0.0)
+
+    @pytest.mark.parametrize("n", range(1, coulomb.MC_MAX_N + 1))
+    @pytest.mark.parametrize("count", [20_001, 2 * coulomb._MC_BATCH + 1])
+    def test_worker_is_the_reference_kernel_bit_for_bit(self, suite, n, count):
+        # two-band keeps K < N at n ≥ 2; Bernstein–Szegő's K = 48 runs Newton past N
+        for name in ("two-band", "bernstein-szego"):
+            # complex l_k by rotation, and l_0 = 0 as mc_Dn passes it
+            coeffs = [complex(c) * np.exp(0.7j * k) for k, c in enumerate(suite[name].coeffs)]
+            task = (tuple(coeffs[1:]), n, count, 23, 1)
+            assert coulomb._mc_worker(task) == reference_mc_worker(task, workers=2), name
 
 
 class TestLogWeightCore:
