@@ -49,7 +49,7 @@ from .szego_fn import (
     inverse_coeffs,
     phi_star_convergence,
 )
-from .coulomb import CoulombEstimate, exact_Dn, mc_Dn, vandermonde_sq
+from .coulomb import CoulombEstimate, exact_Dn, mc_Dn
 from .cdkernel import (
     kernel_cd,
     kernel_diag_boundary,

@@ -71,15 +71,20 @@ def _write_output(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _checks_exit(checks: list[tuple[str, bool, str]]) -> int:
+    """Exit 0 only if every check passed."""
+    return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_INVARIANT
+
+
 def _write_checks(args, body: str, checks: list[tuple[str, bool, str]]) -> int:
     """Write ``body``, then one `# check NAME PASS|FAIL (detail)` line per check
-    (no parenthesis for an empty detail); exit 0 only if every check passed."""
+    (no parenthesis for an empty detail)."""
     lines = [
         f"# check {name} {'PASS' if ok else 'FAIL'}" + (f" ({detail})" if detail else "")
         for name, ok, detail in checks
     ]
     _write_output(args, body + "\n".join(lines) + "\n")
-    return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_INVARIANT
+    return _checks_exit(checks)
 
 
 def load_moments_csv(path) -> MomentSequence:
@@ -140,8 +145,14 @@ def cmd_verify(args) -> int:
         report, checks = None, verify.moment_checks(load_moments_csv(args.moments), args.nmax)
     else:
         report, checks = verify.symbol_checks(_symbol_from_args(args), args.nmax)
-    body = "" if report is None else report.to_csv() if args.format == "csv" else report.to_json()
-    return _write_checks(args, body, checks)
+    if args.format == "csv":
+        return _write_checks(args, "" if report is None else report.to_csv(), checks)
+    payload = {
+        "report": None if report is None else report.to_json_dict(),
+        "checks": [{"name": name, "ok": ok, "detail": detail} for name, ok, detail in checks],
+    }
+    _write_output(args, json_text(payload))
+    return _checks_exit(checks)
 
 
 def cmd_coulomb(args) -> int:

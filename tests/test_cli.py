@@ -18,6 +18,20 @@ def run_cli(args, tmp_path, name="out.txt"):
     return code, out.read_text() if out.exists() else ""
 
 
+GOOD_MOMENTS = "# schema=1\nn,re,im\n" + "\n".join(f"{n},{0.5 ** n},0" for n in range(13)) + "\n"
+BAD_MOMENTS = "# schema=1\nn,re,im\n0,1,0\n1,1.5,0\n"
+
+#: every ``--format json`` command of this file, with its exit code; ``{good}``
+#: and ``{bad}`` are a valid and a non-positive moments CSV
+JSON_COMMANDS = [
+    (["moments", "--coeff", "1=0.5", "--nmax", "2", "--format", "json"], 0),
+    (["verify", "--coeff", "1=0.5", "--nmax", "3", "--format", "json"], 0),
+    (["verify", "--nmax", "10", "--format", "json"], 0),
+    (["verify", "--moments", "{good}", "--nmax", "10", "--format", "json"], 0),
+    (["verify", "--moments", "{bad}", "--format", "json"], 1),
+]
+
+
 class TestMoments:
     def test_csv_schema_and_grid(self, tmp_path):
         code, text = run_cli(["moments", "--coeff", "1=0.5", "--nmax", "4"], tmp_path)
@@ -35,9 +49,7 @@ class TestMoments:
         assert data == ["0,1,0"]
 
     def test_json_format(self, tmp_path):
-        code, text = run_cli(
-            ["moments", "--coeff", "1=0.5", "--nmax", "2", "--format", "json"], tmp_path
-        )
+        code, text = run_cli(JSON_COMMANDS[0][0], tmp_path)
         assert code == 0
         assert '"grid_m"' in text and '"moments"' in text
 
@@ -89,6 +101,42 @@ class TestMoments:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("szego-lab: quadrature error: ") and err.count("\n") == 1
+
+
+class TestJsonOutput:
+    @pytest.mark.parametrize("argv, code", JSON_COMMANDS)
+    def test_stdout_is_one_json_document(self, tmp_path, capsys, argv, code):
+        (tmp_path / "good.csv").write_text(GOOD_MOMENTS)
+        (tmp_path / "bad.csv").write_text(BAD_MOMENTS)
+        paths = {"good": tmp_path / "good.csv", "bad": tmp_path / "bad.csv"}
+        capsys.readouterr()
+        assert cli.main([arg.format(**paths) for arg in argv]) == code
+        json.loads(capsys.readouterr().out)
+
+    def test_verify_json_holds_the_report_and_the_checks(self, tmp_path):
+        argv = ["verify", "--coeff", "1=0.5", "--nmax", "3"]
+        code, csv = run_cli(argv, tmp_path, "r.csv")
+        assert code == 0
+        _, text = run_cli(argv + ["--format", "json"], tmp_path, "r.json")
+        payload = json.loads(text)
+        assert list(payload) == ["report", "checks"]
+        assert payload["report"]["target"] == 0.25
+        assert [r["n"] for r in payload["report"]["rows"]] == [0, 1, 2, 3]
+        lines = [line for line in csv.splitlines() if line.startswith("# check ")]
+        assert len(payload["checks"]) == len(lines) == 4
+        for check, line in zip(payload["checks"], lines):
+            assert list(check) == ["name", "ok", "detail"] and check["ok"] is True
+            assert line == f"# check {check['name']} PASS ({check['detail']})"
+
+    def test_verify_json_without_a_report_is_null(self, tmp_path):
+        (tmp_path / "bad.csv").write_text(BAD_MOMENTS)
+        code, text = run_cli(
+            ["verify", "--moments", str(tmp_path / "bad.csv"), "--format", "json"], tmp_path
+        )
+        assert code == 1
+        payload = json.loads(text)
+        assert payload["report"] is None
+        assert {"name": "positivity", "ok": False}.items() <= payload["checks"][0].items()
 
 
 class TestVerify:

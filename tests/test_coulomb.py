@@ -1,5 +1,6 @@
 """Gas-integral determinant estimates: exact quadrature and seeded Monte Carlo."""
 
+import itertools
 import math
 import os
 from types import SimpleNamespace
@@ -15,14 +16,13 @@ from szego_lab import (
     mc_Dn,
     moments,
     run_to,
-    vandermonde_sq,
 )
 from szego_lab import coulomb
+from szego_lab.quadrature import circle_points
 from szego_lab.symbol import LaurentSymbol, eval_log_weight, eval_log_weight_z
 from szego_lab.toeplitz import assemble
 from szego_lab.verify import scaled_symbol
 
-from conftest import same_bits
 
 
 def sin_log_pair_gaps(theta):
@@ -34,24 +34,28 @@ def sin_log_pair_gaps(theta):
         return np.sum(np.log(gaps), axis=-1)
 
 
-def unbuffered_log_vandermonde_sq(z):
-    """Σ_{k<j} log|z_k - z_j|² over the first axis, with a fresh gap array per row.
+def pair_gaps(z):
+    """|z_k - z_j|² for every pair of the first axis, as ``exact_Dn`` forms them (k, j, ...)."""
+    x, y = z.real, z.imag
+    return coulomb._sq_gaps(x[:, None], y[:, None], x[None, :], y[None, :])
 
-    The reference for the bits of ``coulomb._log_vandermonde_sq``, whose rows
-    go through reused buffers in the same order of operations.
-    """
-    x = np.ascontiguousarray(z.real)
-    y = np.ascontiguousarray(z.imag)
-    total = np.zeros(z.shape[1:])
+
+def log_vandermonde_sq(z):
+    """Σ_{k<j} log |z_k - z_j|² over the first axis, from ``pair_gaps``."""
+    k, j = np.triu_indices(z.shape[0], k=1)
     with np.errstate(divide="ignore"):
-        for k in range(z.shape[0] - 1):
-            dx = x[k] - x[k + 1 :]
-            dy = y[k] - y[k + 1 :]
-            dx *= dx
-            dy *= dy
-            dx += dy
-            total += np.sum(np.log(dx, out=dx), axis=0)
-    return total
+        return np.sum(np.log(pair_gaps(z)[k, j]), axis=0)
+
+
+def vandermonde_sq(theta):
+    """|Π_{k<j}(e^{iθ_k} - e^{iθ_j})|² from the gaps that ``exact_Dn`` integrates."""
+    return float(np.exp(log_vandermonde_sq(circle_points(np.asarray(theta, dtype=float)))))
+
+
+def rotation_turns():
+    """e^{2πid/R} for d < R = ``coulomb._MC_ROTATIONS``, the turns each draw is averaged over."""
+    rotations = coulomb._MC_ROTATIONS
+    return np.exp(2j * np.pi * np.arange(rotations) / rotations)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -60,14 +64,20 @@ def reference_mc_worker(task, workers):
 
     The reference for the bits of the Monte Carlo kernel, which draws into
     reused buffers, carries only the top and bottom min(K, N)+1 coefficients
-    of Φ_k and keeps the power sums in reused rows.  Here a batch's uniforms
-    are a new array, the recursion Φ_{k+1}[m] = Φ_k[m] - conj(Φ_k*)[m-1]·ᾱ_k
-    builds each Φ_k as a new list of rows, highest degree first, and Newton's
-    identities take p_k from every coefficient of Φ_N; the substream is
+    of Φ_k and keeps the power sums and their turned pairings in reused rows.
+    Here a batch's uniforms are a new array, the recursion
+    Φ_{k+1}[m] = Φ_k[m] - conj(Φ_k*)[m-1]·ᾱ_k builds each Φ_k as a new list
+    of rows, highest degree first, Newton's identities take p_k from every
+    coefficient of Φ_N, and a draw's value is the mean over d < R of
+    exp(2 Re Σ_k l_k e^{2πidk/R} p_k); the substream is
     ``SeedSequence(seed).spawn(workers)[index]``.
     """
     coeffs, n, count, seed, index = task
     points = n + 1
+    rotations = coulomb._MC_ROTATIONS
+    steps = (np.arange(rotations)[:, None] * np.arange(1, len(coeffs) + 1)) % rotations
+    turns = steps * (2.0 * np.pi / rotations)
+    table = np.asarray(coeffs, dtype=complex) * (np.cos(turns) + 1j * np.sin(turns))
     child = np.random.SeedSequence(seed).spawn(workers)[index]
     rng = np.random.default_rng(child)
     total = 0.0
@@ -91,14 +101,13 @@ def reference_mc_worker(task, workers):
                 + [-(star[-1] * a)]
             )
         sums = []
-        pairing = np.zeros(batch, dtype=complex)
-        for j, l_j in enumerate(coeffs, start=1):
+        for j in range(1, len(coeffs) + 1):
             p_j = phi[j] * -j if j <= points else np.zeros(batch, dtype=complex)
             for m in range(1, min(j - 1, points) + 1):
                 p_j = p_j - phi[m] * sums[j - 1 - m]
             sums.append(p_j)
-            pairing = pairing + p_j * l_j
-        f = np.exp(pairing.real * 2.0)
+        power_sums = np.array(sums).reshape(len(coeffs), batch)
+        f = np.exp((table @ power_sums).real * 2.0).mean(axis=0)
         shift = max(0, int(np.frexp(np.max(f))[1]) - k)
         total, total_sq, k = math.ldexp(total, -shift), math.ldexp(total_sq, -2 * shift), k + shift
         f = np.ldexp(f, -k)
@@ -134,11 +143,63 @@ def reference_cue_zeros(n, count, seed, index, workers):
     return np.linalg.eigvals(companion)
 
 
+def cue_power_sums(points, count, seed, top_k):
+    """(top_k, count) power sums p_1..p_K of ``count`` CUE(points) draws, by the worker's helpers.
+
+    Batch by batch as ``_mc_worker`` draws them: ``_conj_alphas`` on fresh
+    uniforms, then ``_top_coefficients`` and ``_power_sums``; no determinant
+    and no symbol is read.
+    """
+    rng = np.random.default_rng(seed)
+    rows = []
+    for start in range(0, count, coulomb._MC_BATCH):
+        batch = min(coulomb._MC_BATCH, count - start)
+        u = rng.random((batch, 2 * points - 1))
+        abar = coulomb._conj_alphas(
+            u, np.empty((points, batch), dtype=complex), np.empty((points, batch))
+        )
+        ends = np.empty((4, min(top_k, points) + 1, batch), dtype=complex)
+        top = coulomb._top_coefficients(abar, *ends)
+        rows.append(coulomb._power_sums(top, np.empty((top_k + 1, batch), dtype=complex)))
+    return np.concatenate(rows, axis=1)
+
+
+def assert_mean_within(samples, want, sigmas, label):
+    """The sample mean of ``samples`` is within ``sigmas`` standard errors of ``want``."""
+    mean = np.mean(samples)
+    std_err = np.std(samples, ddof=1) / math.sqrt(samples.size)
+    assert abs(mean - want) <= sigmas * std_err, (label, mean, want, std_err)
+
+
 def cholesky_Dn(s, n):
     return math.exp(log_det_direct(assemble(moments(s, n), n)))
 
 
+def rotated_moment(s, n, j):
+    """E[g^j] under CUE(n+1) for the worker's g = mean_d Π_i w(θ_i + 2πd/R), by Cholesky.
+
+    g^j averages Π_i τ_{d_1}w ⋯ τ_{d_j}w(θ_i) over (d_1..d_j), where τ_d w(θ) =
+    w(θ + 2πd/R) has log-coefficients l_k e^{2πidk/R}; Haar measure does not
+    change under one turn, so d_1 = 0 and E[g^j] = R^{1-j} Σ D_n(w·τ_{d_2}w ⋯ τ_{d_j}w).
+    """
+    rotations = coulomb._MC_ROTATIONS
+    turns = rotation_turns()
+    total = 0.0
+    for ds in itertools.product(range(rotations), repeat=j - 1):
+        product = LaurentSymbol(
+            (j * s.mean,)
+            + tuple(
+                complex(l_k) * (1.0 + sum(turns[(d * k) % rotations] for d in ds))
+                for k, l_k in enumerate(s.coeffs[1:], start=1)
+            )
+        )
+        total += cholesky_Dn(product, n)
+    return total / rotations ** (j - 1)
+
+
 class TestVandermonde:
+    """The pair gaps that ``exact_Dn`` integrates, multiplied out over one set of points."""
+
     def test_coincident_nodes_vanish(self):
         assert vandermonde_sq([1.3, 1.3]) == 0.0
 
@@ -177,14 +238,14 @@ class TestPairGaps:
     def test_matches_the_direct_complex_product(self, points):
         rng = np.random.default_rng(points)
         z = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=points))
-        log_v = coulomb._log_vandermonde_sq(z)
+        log_v = log_vandermonde_sq(z)
         assert np.exp(log_v) == pytest.approx(self.direct(z), rel=1e-12)
 
     def test_batch_along_the_first_axis(self):
         rng = np.random.default_rng(21)
         theta = rng.uniform(0.0, 2.0 * np.pi, size=(50, 9))
         z = np.exp(1j * theta)
-        log_v = coulomb._log_vandermonde_sq(z.T)
+        log_v = log_vandermonde_sq(z.T)
         assert log_v.shape == (50,)
         want = [self.direct(row) for row in z]
         assert np.exp(log_v) == pytest.approx(want, rel=1e-12)
@@ -192,33 +253,13 @@ class TestPairGaps:
 
     def test_coincident_points_give_minus_inf(self):
         z = np.exp(1j * np.array([[0.3, 1.1, 0.3, 2.0], [0.5, 1.5, 2.5, 3.5]]))
-        log_v = coulomb._log_vandermonde_sq(z.T)
+        log_v = log_vandermonde_sq(z.T)
         assert log_v[0] == -np.inf
         assert np.isfinite(log_v[1])
 
 
 class TestBufferedPairGaps:
-    """Reused buffers against fresh arrays, bit for bit: the pair-gap rows and the gas worker."""
-
-    def test_transposed_batch_view(self):
-        z = np.exp(1j * np.random.default_rng(8).uniform(0.0, 2.0 * np.pi, size=(300, 9)))
-        assert not z.T.flags.c_contiguous
-        want = unbuffered_log_vandermonde_sq(z.T)
-        assert same_bits(coulomb._log_vandermonde_sq(z.T), want)
-        assert same_bits(coulomb._log_vandermonde_sq(np.ascontiguousarray(z.T)), want)
-
-    def test_one_dimensional_points(self):
-        z = np.exp(1j * np.random.default_rng(9).uniform(0.0, 2.0 * np.pi, size=7))
-        log_v = coulomb._log_vandermonde_sq(z)
-        assert log_v.shape == ()
-        assert same_bits(log_v, unbuffered_log_vandermonde_sq(z))
-        assert np.exp(log_v) == pytest.approx(TestPairGaps.direct(z), rel=1e-12)
-
-    def test_single_point_is_an_empty_product(self):
-        # no pairs: the gap buffers are empty and the log-product is 0
-        z = np.exp(1j * np.array([[0.3, 1.1, 2.0]]))
-        assert same_bits(coulomb._log_vandermonde_sq(z), np.zeros(3))
-        assert same_bits(coulomb._log_vandermonde_sq(z[:, 0]), 0.0)
+    """Reused buffers against fresh arrays, bit for bit: the gas worker."""
 
     @pytest.mark.parametrize("n", range(1, coulomb.MC_MAX_N + 1))
     @pytest.mark.parametrize("count", [20_001, 2 * coulomb._MC_BATCH + 1])
@@ -229,6 +270,38 @@ class TestBufferedPairGaps:
             coeffs = [complex(c) * np.exp(0.7j * k) for k, c in enumerate(suite[name].coeffs)]
             task = (tuple(coeffs[1:]), n, count, 23, 1)
             assert coulomb._mc_worker(task) == reference_mc_worker(task, workers=2), name
+
+
+class TestCUEPowerSums:
+    """The draws against exact moments of CUE(N) power sums p_k = tr U^k, with no determinant."""
+
+    SAMPLES = 200_000
+    TOP_K = 6  # past every N here, so Newton's identities run past the degree
+
+    @pytest.mark.parametrize("points", [2, 3, 5])
+    def test_diaconis_shahshahani(self, points):
+        # E[p_j conj(p_k)] = δ_jk min(k, N) and E[p_k] = 0
+        p = cue_power_sums(points, self.SAMPLES, 41 + points, self.TOP_K)
+        for j in range(1, self.TOP_K + 1):
+            p_j = p[j - 1]
+            assert_mean_within(p_j.real, 0.0, 5.0, ("Re p", j))
+            assert_mean_within(p_j.imag, 0.0, 5.0, ("Im p", j))
+            for k in range(j, self.TOP_K + 1):
+                pair = p_j * np.conj(p[k - 1])
+                want = min(k, points) if j == k else 0.0
+                assert_mean_within(pair.real, want, 5.0, ("Re p conj p", j, k))
+                assert_mean_within(pair.imag, 0.0, 5.0, ("Im p conj p", j, k))
+
+    @pytest.mark.parametrize(
+        "points, counts", [(2, (1, 2, 5, 14)), (3, (1, 2, 6, 23)), (5, (1, 2, 6, 24))]
+    )
+    def test_rains_moments_of_the_trace(self, points, counts):
+        # E|p_1|^{2a} is the number of permutations of a letters whose longest
+        # increasing subsequence is at most N
+        p_1 = cue_power_sums(points, self.SAMPLES, 53 + points, 1)[0]
+        size_sq = np.abs(p_1) ** 2
+        for a, want in enumerate(counts, start=1):
+            assert_mean_within(size_sq**a, want, 5.0, ("E|p_1|^2a", a))
 
 
 class TestLogWeightCore:
@@ -336,7 +409,8 @@ class TestMonteCarlo:
     def test_worker_batches_match_a_one_shot_reference(self, suite, count):
         # the same (count, 2N-1) stream in one draw, through every coefficient of
         # Φ_N and its zeros: a dropped, repeated or reordered draw shows, and the
-        # K = 48 Bernstein–Szegő symbol runs Newton's identities past N
+        # K = 48 Bernstein–Szegő symbol runs Newton's identities past N; L on the
+        # turned zeros checks the rule p_k → e^{2πidk/R} p_k
         seed, index, workers = 17, 1, 3
         for n in range(1, coulomb.MC_MAX_N + 1):
             zeros = reference_cue_zeros(n, count, seed, index, workers)
@@ -346,7 +420,9 @@ class TestMonteCarlo:
                 coeffs = [complex(c) * np.exp(0.7j * k) for k, c in enumerate(suite[name].coeffs)]
                 total, total_sq, done, k = coulomb._mc_worker((coeffs[1:], n, count, seed, index))
                 s = LaurentSymbol((0.0, *coeffs[1:]))
-                f = np.exp(np.sum(eval_log_weight_z(s, zeros), axis=-1))
+                # each draw's zeros turned by every e^{2πid/R}, not its power sums
+                turned = rotation_turns()[:, None, None] * zeros
+                f = np.mean(np.exp(np.sum(eval_log_weight_z(s, turned), axis=-1)), axis=0)
                 assert done == count
                 assert math.ldexp(total, k) == pytest.approx(float(np.sum(f)), rel=1e-12), (name, n)
                 assert math.ldexp(total_sq, 2 * k) == pytest.approx(
@@ -372,10 +448,12 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("name", ["cosine", "two-band"])
     def test_relative_variance_is_the_determinant_ratio(self, suite, name):
-        # under CUE, E[f^j] = D_n(w^j), so Var f / (E f)² = D_n(w²)/D_n(w)² - 1;
+        # g = mean_d f_d with f_d = Π_j w(θ_j + 2πd/R), and under CUE
+        # E[g^j] = R^{1-j} Σ D_n(w·τ_{d_2}w ⋯ τ_{d_j}w), so
+        # Var g / (E g)² = (1/R) Σ_d D_n(w·τ_d w)/D_n(w)² - 1;
         # the tolerance is 5 delta-method standard errors of the observed ratio
         s, n, samples = suite[name], 8, 200_000
-        d1, d2, d3, d4 = (cholesky_Dn(scaled_symbol(s, j), n) for j in (1, 2, 3, 4))
+        d1, d2, d3, d4 = (rotated_moment(s, n, j) for j in (1, 2, 3, 4))
         predicted = d2 / d1**2 - 1.0
         est = mc_Dn(s, n, samples=samples, seed=29)
         observed = samples * (est.std_err / est.value) ** 2
