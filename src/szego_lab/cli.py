@@ -14,11 +14,12 @@ from __future__ import annotations
 import argparse
 import cmath
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
-from . import cdkernel, coulomb, opuc, quadrature, verify
+# a subcommand imports the modules that it alone runs inside its cmd_*, so
+# each command loads only what it needs
+from . import quadrature
 from .errors import (
     InvariantViolation,
     PositivityError,
@@ -141,6 +142,8 @@ def cmd_moments(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     if getattr(args, "moments", None):
         report, checks = None, verify.moment_checks(load_moments_csv(args.moments), args.nmax)
     else:
@@ -156,6 +159,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_coulomb(args) -> int:
+    from dataclasses import asdict
+
+    from . import coulomb
+
     s = _symbol_from_args(args)
     if args.exact:
         estimate = coulomb.exact_Dn(s, args.n)
@@ -168,6 +175,8 @@ def cmd_coulomb(args) -> int:
 
 
 def cmd_cd_check(args) -> int:
+    from . import cdkernel, opuc
+
     s = _symbol_from_args(args)
     n = args.nmax
     m = moments(s, n + 2)
@@ -192,6 +201,8 @@ def cmd_cd_check(args) -> int:
 
 
 def cmd_bs_check(args) -> int:
+    from . import verify
+
     s = _symbol_from_args(args)
     level = args.nmax
     m = moments(s, level + 10)
@@ -211,6 +222,8 @@ def cmd_bs_check(args) -> int:
 
 
 def cmd_fh_check(args) -> int:
+    from . import verify
+
     s = _symbol_from_args(args)
     result = verify.feynman_hellman_check(s, n=args.nmax, t=args.t, h=args.h)
     payload = {

@@ -4,12 +4,14 @@ D_n equals the partition-function integral
 [(n+1)!]^{-1} ∫ |Π_{k<j}(z_k - z_j)|² e^{Σ L(θ_j)} Π dθ_j/2π over the
 (n+1)-torus, with z_j = e^{iθ_j}, which is Heine's identity
 D_n(w) = E[Π_j w(θ_j)] over the eigenvalues e^{iθ_j} of an (n+1)×(n+1) CUE
-matrix.  Low dimensions are handled by exact tensor quadrature, which takes
-z = e^{iθ} once per point, as cos θ + i sin θ with no complex exponential
-(:func:`quadrature.circle_points`), evaluates L on that same z through
-:func:`symbol.eval_log_weight_z`, and forms every pair gap from its
-coordinates, |z_k - z_j|² = (x_k - x_j)² + (y_k - y_j)², with no trigonometry
-per pair.
+matrix.  Low dimensions are handled by exact tensor quadrature on m points
+per axis, m doubling by the one stop rule of :mod:`quadrature` from
+max(64, 2(n+K)+1) up to ``EXACT_MAX_GRID`` (1024), with the factor
+e^{(n+1) l_0} carried exactly.  It takes z = e^{iθ} once per point, as
+cos θ + i sin θ with no complex exponential (:func:`quadrature.circle_points`),
+evaluates L on that same z through :func:`symbol.eval_log_weight_z`, and forms
+every pair gap from its coordinates, |z_k - z_j|² = (x_k - x_j)² + (y_k - y_j)²,
+with no trigonometry per pair.
 
 Moderate dimensions are handled by seeded Monte Carlo over CUE(N), N = n+1,
 itself (Killip & Nenciu, arXiv:math/0410034).  A draw is the paraorthogonal
@@ -35,19 +37,21 @@ worker allocates once and every batch reuses.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import QuadratureError
-from .quadrature import angles, circle_points
+from .quadrature import _double_until_stagnant, angles, circle_points
 # eval_log_weight is not called here: it is imported so that the perfbench layer
 # span on ``coulomb.eval_log_weight`` still finds its target
 from .symbol import LaurentSymbol, eval_log_weight, eval_log_weight_z
 
 EXACT_MAX_N = 2
+#: finest exact tensor grid, points per axis: three dense float64 m×m matrices
+#: (8 MiB each at 1024) and an O(m³) contraction at n = 2
+EXACT_MAX_GRID = 1024
 MC_MAX_N = 8
 MC_MIN_SAMPLES = 10_000
 #: samples per Monte Carlo batch: small enough that a batch's temporaries stay
@@ -96,28 +100,33 @@ def _sq_gaps(xa, ya, xb, yb):
     return dx
 
 
+@np.errstate(over="ignore")  # reported by _require_finite_positive
 def exact_Dn(s: LaurentSymbol, n: int) -> CoulombEstimate:
-    """Tensor-product quadrature of the gas integral for n ≤ 2.
+    """Tensor-product quadrature of the gas integral for n ≤ 2, with m points per axis.
 
-    The 512-point grid is doubled once as a stability pass; a relative shift above
-    1e-8 between the two grids is reported as non-convergence.
+    The grid doubles by the one stop rule of :func:`quadrature._double_until_stagnant`
+    from m = max(64, 2(n+K)+1), which samples the degree-n gaps and the
+    degree-K L of each axis above their Nyquist rate, up to ``EXACT_MAX_GRID``
+    (or ``SZEGO_LAB_GRID_MAX`` if lower); at the cap the last change must be
+    below ``FAILURE_TOL``.  L is evaluated at the points, so no FFT of e^L asks
+    for the finer start of :func:`symbol.moments`.  The grid integrates w·e^{-l_0},
+    whose D_n is at least 1 for real L, so the rule's max(1, |value|) scale makes
+    the stop relative; D_n(e^{l_0} w) = e^{(n+1) l_0} D_n(w) scales the result.
+    ``samples`` is m^{n+1} on the last grid.
     """
     if not 0 <= n <= EXACT_MAX_N:
         raise ValueError(f"exact quadrature supports n in 0..{EXACT_MAX_N}, got {n}")
-    m = 512
-    first = _exact_on_grid(s, n, m)
-    second = _exact_on_grid(s, n, 2 * m)
-    if abs(second - first) > 1e-8 * abs(second):
-        raise QuadratureError(
-            f"gas quadrature for n={n} moved by {abs(second - first):.3g} "
-            f"between grids {m} and {2 * m}"
-        )
-    _require_finite_positive(n, second, 0.0)
+    centred = LaurentSymbol((0.0,) + s.coeffs[1:])
+    value, m = _double_until_stagnant(
+        lambda m: _exact_on_grid(centred, n, m), 2 * (n + s.bandwidth) + 1, "gas", EXACT_MAX_GRID
+    )
+    value *= float(np.exp((n + 1) * s.mean))  # inf past the float range, then refused
+    _require_finite_positive(n, value, 0.0)
     return CoulombEstimate(
         n=n,
-        value=float(second),
+        value=value,
         std_err=0.0,
-        samples=(2 * m) ** (n + 1),
+        samples=m ** (n + 1),
         method="exact-quadrature",
     )
 
@@ -299,6 +308,8 @@ def mc_Dn(
     tasks = [(s.coeffs[1:], n, counts[i], seed, i) for i in range(workers) if counts[i] > 0]
     processes = min(len(tasks), os.cpu_count() or 1)
     if processes > 1:
+        import multiprocessing  # 6-13 ms to import, so only when a pool runs
+
         with multiprocessing.get_context("fork").Pool(processes) as pool:
             parts = pool.map(_mc_worker, tasks)
     else:

@@ -2,8 +2,9 @@
 
 Periodic analytic integrands are integrated with the uniform-grid rule
 (trapezoid = rectangle on the torus), which converges geometrically in the
-number of nodes.  Every adaptive routine, here and in :mod:`symbol`, doubles
-the grid by the one stop rule of :func:`_double_until_stagnant`.
+number of nodes.  Every adaptive routine, here, in :mod:`symbol` and in
+:mod:`coulomb`, doubles the grid by the one stop rule of
+:func:`_double_until_stagnant`.
 """
 
 from __future__ import annotations
@@ -58,10 +59,11 @@ def circle_points(theta, out: np.ndarray | None = None) -> np.ndarray | complex:
     return z[()]
 
 
-def _double_until_stagnant(evaluate, start: int, what: str):
+def _double_until_stagnant(evaluate, start: int, what: str, cap: int | None = None):
     """``evaluate(m)`` for m = max(start, 64), then doubling up to
-    ``SZEGO_LAB_GRID_MAX``, until two successive values differ by less than
-    ``STAGNATION_TOL`` of the largest entry, or of 1 if that is larger.
+    ``SZEGO_LAB_GRID_MAX``, or to ``cap`` if that is lower, until two successive
+    values differ by less than ``STAGNATION_TOL`` of the largest entry, or of 1
+    if that is larger.
 
     The change is max|new - value| / max(1, max|new|): values of size at most 1
     stop on the absolute change, larger ones on the change relative to their
@@ -72,7 +74,7 @@ def _double_until_stagnant(evaluate, start: int, what: str):
     ``what`` if a value is not finite, or if the cap is reached with the last
     scaled change above ``FAILURE_TOL``.
     """
-    cap = grid_cap()
+    cap = grid_cap() if cap is None else min(cap, grid_cap())
 
     def finite(m: int):
         value = evaluate(m)

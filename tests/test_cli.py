@@ -316,6 +316,26 @@ class TestCoulomb:
         assert shifted["std_err"] == pytest.approx(math.exp(400) * plain["std_err"], rel=1e-14)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("l0, coeff, n", [(100, "1=0.5", 2), (-100, "2=30", 1)])
+    def test_large_l0_is_carried_exactly_by_the_exact_route(self, capsys, l0, coeff, n):
+        # the tensor grid integrates w·e^{-l_0} and e^{(n+1) l_0} multiplies the
+        # result, so a tiny D_n still stops on a relative change (l_2 = 30 needs 512 points)
+        argv = ["coulomb", "--coeff", coeff, "--n", str(n), "--exact"]
+        assert cli.main(argv + ["--coeff", f"0={l0}"]) == 0
+        shifted = json.loads(capsys.readouterr().out)
+        assert cli.main(argv) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert shifted["samples"] == plain["samples"]
+        assert shifted["value"] == pytest.approx(math.exp((n + 1) * l0) * plain["value"], rel=1e-15)
+
+    def test_exact_grid_cap_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setenv("SZEGO_LAB_GRID_MAX", "64")
+        assert cli.main(["coulomb", "--coeff", "1=0.5", "--n", "2", "--exact"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("szego-lab: quadrature error: ") and "grid cap 64" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_large_lk_has_a_finite_standard_error(self, capsys):
         # 4·L reaches 400 here, so f² overflows unless each batch is scaled first
         argv = ["coulomb", "--coeff", "1=50", "--n", "3", "--samples", "10000"]

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import multiprocessing
 import os
 from types import SimpleNamespace
 
@@ -18,6 +19,7 @@ from szego_lab import (
     run_to,
 )
 from szego_lab import coulomb
+from szego_lab.errors import QuadratureError
 from szego_lab.quadrature import circle_points
 from szego_lab.symbol import LaurentSymbol, eval_log_weight, eval_log_weight_z
 from szego_lab.toeplitz import assemble
@@ -332,12 +334,40 @@ class TestExactQuadrature:
         assert est.value == pytest.approx(0.75, rel=1e-10)
 
     def test_agrees_with_cholesky_across_suite(self, suite):
-        for name, s in suite.items():
+        weights = {**suite, "l_1 = 5": make_symbol({1: 5.0, -1: 5.0})}
+        for name, s in weights.items():
             m = moments(s, 2)
             for n in range(3):
                 est = exact_Dn(s, n)
                 truth = math.exp(log_det_direct(assemble(m, n)))
                 assert est.value == pytest.approx(truth, rel=1e-8), (name, n)
+
+    def test_samples_are_the_last_grid_and_the_suite_stops_early(self, suite):
+        # the grid doubles from max(64, 2(n+K)+1) by the one stop rule; the suite
+        # converges one doubling later, far below the 1024-point cap
+        for name, s in suite.items():
+            start = max(64, 2 * (2 + s.bandwidth) + 1)
+            est = exact_Dn(s, 2)
+            grid = round(est.samples ** (1 / 3))
+            assert est.samples == grid**3, name
+            assert grid == 2 * start and grid <= 256, name
+
+    def test_grid_doubles_up_to_1024_points(self, cos_symbol, monkeypatch):
+        # l_2 = 30 needs 512 points per axis, past every suite weight
+        assert math.isqrt(exact_Dn(make_symbol({2: 30.0, -2: 30.0}), 1).samples) == 512
+        # an integrand that never settles stops at the cap, 1024 points per axis,
+        # which SZEGO_LAB_GRID_MAX may lower but not raise
+        grids = []
+        monkeypatch.setattr(coulomb, "_exact_on_grid", lambda s, n, m: grids.append(m) or 1 + 1 / m)
+        monkeypatch.setenv("SZEGO_LAB_GRID_MAX", str(2**30))
+        with pytest.raises(QuadratureError, match="grid cap 1024"):
+            exact_Dn(cos_symbol, 2)
+        assert grids == [64, 128, 256, 512, 1024]
+        grids.clear()
+        monkeypatch.setenv("SZEGO_LAB_GRID_MAX", "128")
+        with pytest.raises(QuadratureError, match="grid cap 128"):
+            exact_Dn(cos_symbol, 2)
+        assert grids == [64, 128]
 
     def test_rejects_large_n(self, cos_symbol):
         with pytest.raises(ValueError):
@@ -382,8 +412,9 @@ class TestMonteCarlo:
             def map(self, fn, tasks):
                 return [fn(task) for task in tasks]
 
+        # mc_Dn imports multiprocessing in its pool branch: the same module object
         monkeypatch.setattr(
-            coulomb.multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=InlinePool)
+            multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=InlinePool)
         )
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         pooled = mc_Dn(cos_symbol, 3, samples=64_000, seed=4, workers=64)
