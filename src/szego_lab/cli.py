@@ -3,10 +3,11 @@
 Subcommands: moments, verify, coulomb, cd-check, bs-check, fh-check.
 Each one parses its flags, picks its input and prints; the checks that
 ``verify`` prints, and their tolerances, live in :mod:`szego_lab.verify`.
-Exit codes: 0 success, 1 invariant failure, 2 input parse, 3 quadrature,
-4 out-of-range.  Identical configurations produce byte-identical output:
-every random stream is seeded and floats are printed with 17 significant
-digits.  ``SZEGO_LAB_GRID_MAX`` caps quadrature grid doubling.
+Exit codes: 0 success, 1 invariant failure, 2 input parse or an unusable
+path, 3 quadrature, 4 out-of-range or out of memory.  Identical
+configurations produce byte-identical output: every random stream is seeded
+and floats are printed with 17 significant digits.  ``SZEGO_LAB_GRID_MAX``
+caps quadrature grid doubling.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def load_moments_csv(path) -> MomentSequence:
             values[n] = value
     if 0 not in values or sorted(values) != list(range(len(values))):
         raise SymbolParseError("moment indices must be contiguous from 0")
-    return MomentSequence(tuple(values[i] for i in range(len(values))))
+    return MomentSequence([values[i] for i in range(len(values))])
 
 
 # --------------------------------------------------------------------------
@@ -122,21 +123,17 @@ def load_moments_csv(path) -> MomentSequence:
 def cmd_moments(args) -> int:
     s = _symbol_from_args(args)
     m = moments(s, args.nmax)
+    values = m.values.tolist()
     if args.format == "json":
         payload = {
             "schema": 1,
             "grid_m": m.quadrature_points,
-            "moments": [
-                {"n": k, "re": m.moment(k).real, "im": m.moment(k).imag}
-                for k in range(m.order + 1)
-            ],
+            "moments": [{"n": k, "re": v.real, "im": v.imag} for k, v in enumerate(values)],
         }
         _write_output(args, json_text(payload))
     else:
         lines = [CSV_SCHEMA, f"# grid_m={m.quadrature_points}", "n,re,im"]
-        for k in range(m.order + 1):
-            value = m.moment(k)
-            lines.append(f"{k},{fmt(value.real)},{fmt(value.imag)}")
+        lines += [f"{k},{fmt(v.real)},{fmt(v.imag)}" for k, v in enumerate(values)]
         _write_output(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -311,13 +308,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SymbolParseError as exc:
+    except (SymbolParseError, UnicodeDecodeError) as exc:
         print(f"szego-lab: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"szego-lab: out of range: {exc}", file=sys.stderr)
         return EXIT_RANGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        if exc.filename is None:  # not a --symbol, --moments or --out path
+            raise
         print(f"szego-lab: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except QuadratureError as exc:

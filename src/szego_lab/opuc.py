@@ -101,7 +101,7 @@ def _walk(m: MomentSequence, n: int):
     grows in place: a consumer that keeps it past the next item must copy it."""
     if not 0 <= n <= m.order:
         raise ValueError(f"target degree {n} not in 0..{m.order}: moments up to order {m.order}")
-    c = m.nonnegative()
+    c = m.values
     coeffs = np.ones(1, dtype=complex)
     norm_sq = m.c0
     alphas = []

@@ -6,13 +6,13 @@ c_n = ∫ e^{-inθ} w(θ) dθ/2π.  Moments are computed by FFT on a uniform gri
 with adaptive doubling (the one stop rule of :mod:`quadrature`), which is
 spectrally accurate for these integrands.  Stored coefficients, from symbol
 files and ``--coeff`` flags alike, obey the one rule set of :func:`stored_symbol`.
+:func:`hermitian_strip` is the one builder of a two-sided strip x_{-n}..x_n.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -134,22 +134,25 @@ def eval_weight(s: LaurentSymbol, theta) -> np.ndarray | float:
     return np.exp(eval_log_weight(s, theta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array field has no == of the whole
 class MomentSequence:
     """Toeplitz moments c_0..c_N of a positive weight; c_{-n} = conj(c_n).
 
-    Only n ≥ 0 is stored, so Hermitian symmetry holds exactly by construction.
-    ``quadrature_points`` records the grid that produced the values (0 for
-    moments given in closed form).
+    ``values`` holds only n ≥ 0, as a read-only complex array copied from the
+    sequence given, so Hermitian symmetry holds exactly by construction.
+    ``quadrature_points`` records the grid that produced them (0 in closed form).
     """
 
-    values: tuple[complex, ...]
+    values: np.ndarray
     quadrature_points: int = 0
 
     def __post_init__(self):
-        if not self.values:
+        values = np.array(self.values, dtype=complex)
+        if values.ndim != 1 or not values.size:
             raise ValueError("a moment sequence needs at least c_0")
-        c0 = complex(self.values[0])
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        c0 = complex(values[0])
         if abs(c0.imag) > IMAG_RESIDUE_TOL * max(1.0, abs(c0)):
             raise PositivityError(f"c_0 must be real, got {c0}")
         if c0.real <= 0.0:
@@ -161,7 +164,7 @@ class MomentSequence:
 
     @property
     def c0(self) -> float:
-        return complex(self.values[0]).real
+        return float(self.values[0].real)
 
     def moment(self, n: int) -> complex:
         """c_n for |n| ≤ order."""
@@ -170,20 +173,16 @@ class MomentSequence:
         value = complex(self.values[abs(n)])
         return value if n >= 0 else value.conjugate()
 
-    def nonnegative(self) -> np.ndarray:
-        """c_0..c_N as a read-only complex array, built once per sequence."""
-        return self._array
-
-    @cached_property
-    def _array(self) -> np.ndarray:
-        arr = np.asarray(self.values, dtype=complex)
-        arr.flags.writeable = False
-        return arr
-
     def normalized(self) -> "MomentSequence":
-        """Moments of the probability-normalized measure dμ/c_0."""
-        scaled = tuple(complex(v) / self.c0 for v in self.values)
+        """Moments of dμ/c_0: real and imaginary parts divided by c_0 one by one, as
+        in Python's ``complex / float``; numpy's complex divide multiplies by 1/c_0."""
+        scaled = (self.values.view(float) / self.c0).view(complex)
         return MomentSequence(scaled, self.quadrature_points)
+
+
+def hermitian_strip(x: np.ndarray) -> np.ndarray:
+    """x_{-n}..x_n from x_0..x_n, with x_{-k} = conj(x_k): x_k lands at index n+k."""
+    return np.concatenate([np.conj(x[:0:-1]), x])
 
 
 def _grid_moments(w: Callable[[np.ndarray], np.ndarray], n_max: int, m: int) -> np.ndarray:
@@ -212,9 +211,8 @@ def moments_from_function(
     current, m = quadrature._double_until_stagnant(
         lambda m: _grid_moments(w, n_max, m), max(int(start), 2 * (n_max + 1)), "moment"
     )
-    values = list(current)
-    values[0] = complex(values[0].real)
-    return MomentSequence(tuple(values), m)
+    current[0] = current[0].real
+    return MomentSequence(current, m)
 
 
 def moments(s: LaurentSymbol, n_max: int) -> MomentSequence:

@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import PositivityError
 from .opuc import RecursionState
-from .symbol import MomentSequence
+from .symbol import MomentSequence, hermitian_strip
 
 
 def assemble(m: MomentSequence, n: int) -> np.ndarray:
@@ -29,10 +30,8 @@ def assemble(m: MomentSequence, n: int) -> np.ndarray:
         raise ValueError(f"matrix order must be nonnegative, got {n}")
     if m.order < n:
         raise ValueError(f"moments up to order {n} required, have {m.order}")
-    pos = m.nonnegative()[: n + 1]
-    strip = np.concatenate([np.conj(pos[::-1]), pos[1:]])  # c_{-n}..c_n
-    idx = np.arange(n + 1)
-    return strip[idx[None, :] - idx[:, None] + n]
+    strip = hermitian_strip(m.values[: n + 1])  # c_{-n}..c_n: window i is row n-i
+    return sliding_window_view(strip, n + 1)[::-1].copy()
 
 
 def _log_chol_diag(t: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from .symbol import (
     eval_log_weight_z,
     format_symbol,
     gi_truncate,
+    hermitian_strip,
     make_symbol,
     moments,
     moments_from_function,
@@ -96,16 +97,16 @@ def family_moments(
     """
     raw = moments(scaled_symbol(s, t), max(n, s.bandwidth))
     m = raw.normalized()
-    stored = np.asarray(s.coeffs, dtype=complex)
-    dlog_w = np.concatenate([np.conj(stored[:0:-1]), stored])
+    dlog_w = hermitian_strip(np.asarray(s.coeffs, dtype=complex))
     dlog_w[s.bandwidth] -= _pair(dlog_w, m)
     return m, float(np.log(raw.c0)), dlog_w
 
 
 def _pair(p: np.ndarray, m: MomentSequence) -> float:
     """∫ P dμ/2π = Σ_d p_d c_{-d} for P = Σ_{|d|≤D} p_d e^{idθ}, given as p_{-D}..p_D."""
-    c = m.nonnegative()[: len(p) // 2 + 1]
-    return float(np.real(p @ np.concatenate([c[::-1], np.conj(c[1:])])))
+    # a contiguous copy: numpy's dot product on the reversed view rounds differently
+    c_minus_d = hermitian_strip(m.values[: len(p) // 2 + 1])[::-1].copy()
+    return float(np.real(p @ c_minus_d))
 
 
 # --------------------------------------------------------------------------
@@ -362,9 +363,9 @@ def bs_approximation(m: MomentSequence, level: int) -> BSApproxBundle:
     old_alphas = state.alphas
 
     mass = new_m.c0
-    moment_dev = max(
-        abs(new_m.moment(j) - mn.moment(j)) for j in range(level + 1)
-    )
+    moment_gap = new_m.values[: level + 1] - mn.values[: level + 1]
+    # hypot is Python's abs(complex); np.abs differs in the last bit for about a third
+    moment_dev = float(np.max(np.hypot(moment_gap.real, moment_gap.imag)))
     head_dev = max(
         (abs(new_alphas[j] - old_alphas[j]) for j in range(level)), default=0.0
     )
@@ -394,7 +395,7 @@ def bs_approximation(m: MomentSequence, level: int) -> BSApproxBundle:
         grid_m=grid_m,
         moments=new_m,
         mass=float(mass),
-        moment_deviation=float(moment_dev),
+        moment_deviation=moment_dev,
         alpha_head_deviation=float(head_dev),
         alpha_tail_deviation=float(tail_dev),
     )

@@ -58,8 +58,12 @@ class TestMoments:
         bad.write_text("0 0.1 0\nxyz\n")
         assert cli.main(["moments", "--symbol", str(bad)]) == 2
 
-    def test_missing_file_exits_2(self, tmp_path):
-        assert cli.main(["moments", "--symbol", str(tmp_path / "nope.txt")]) == 2
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "nope.txt"
+        assert cli.main(["moments", "--symbol", str(missing)]) == 2
+        assert capsys.readouterr().err == (
+            f"szego-lab: [Errno 2] No such file or directory: '{missing}'\n"
+        )
 
     def test_bad_coeff_exits_2(self):
         assert cli.main(["moments", "--coeff", "1=x"]) == 2
@@ -403,6 +407,53 @@ class TestSymbolInputs:
             cli.build_parser().parse_args(["moments", "--symbol", str(path)])
         )
         assert from_flags.coeffs == from_file.coeffs == (-0.2 + 0j, 0.05 + 0.02j, 0.1 - 0.3j)
+
+
+#: argv whose path cannot be read or written: ``{dir}`` is a directory and
+#: ``{latin}`` a file that is not UTF-8
+BAD_PATH_COMMANDS = [
+    ["moments", "--coeff", "1=0.5", "--out", "{dir}"],
+    ["moments", "--symbol", "{dir}"],
+    ["verify", "--moments", "{dir}"],
+    ["moments", "--symbol", "{latin}"],
+    ["verify", "--moments", "{latin}"],
+]
+
+
+class TestPathAndMemoryErrors:
+    """A bad path exits 2 and a matrix that does not fit exits 4, each in one line."""
+
+    @pytest.mark.parametrize("argv", BAD_PATH_COMMANDS)
+    def test_bad_path_exits_2_in_one_line(self, tmp_path, capsys, argv):
+        latin = tmp_path / "latin.txt"
+        latin.write_bytes(b"1 0.5 0\n\xff 0.1 0\n")
+        paths = {"dir": tmp_path, "latin": latin}
+        capsys.readouterr()
+        assert cli.main([arg.format(**paths) for arg in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        if "{dir}" in argv:
+            assert err == f"szego-lab: [Errno 21] Is a directory: '{tmp_path}'\n"
+        else:
+            assert err.startswith("szego-lab: parse error: 'utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.parametrize("source", ["symbol", "moments"])
+    def test_matrix_that_does_not_fit_exits_4_in_one_line(
+        self, tmp_path, capsys, monkeypatch, source
+    ):
+        def no_room(m, n):
+            raise MemoryError(f"Unable to allocate the ({n + 1}, {n + 1}) matrix")
+
+        monkeypatch.setattr(toeplitz, "assemble", no_room)
+        (tmp_path / "good.csv").write_text(GOOD_MOMENTS)
+        argv = {
+            "symbol": ["verify", "--coeff", "1=0.5", "--nmax", "10"],
+            "moments": ["verify", "--moments", str(tmp_path / "good.csv"), "--nmax", "10"],
+        }[source]
+        assert cli.main(argv) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "szego-lab: out of range: Unable to allocate the (11, 11) matrix\n"
 
 
 class TestDeterminism:

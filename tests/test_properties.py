@@ -14,10 +14,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from szego_lab import cli, log_dn_and_g, make_symbol, mc_Dn, moments, run_to, trajectory
-from szego_lab import strong_szego_report, verify
+from szego_lab import assemble, cli, log_dn_and_g, make_symbol, mc_Dn, moments, run_to
+from szego_lab import strong_szego_report, trajectory, verify
 from szego_lab.coulomb import MC_MIN_SAMPLES
-from szego_lab.symbol import eval_log_weight_z
+from szego_lab.symbol import MomentSequence, eval_log_weight_z, hermitian_strip
+
+from conftest import same_bits
 
 PROPERTY_SETTINGS = settings(
     max_examples=25, deadline=None, derandomize=True, database=None
@@ -39,6 +41,22 @@ def symbols(draw):
         coeffs[k] = value
         coeffs[-k] = value.conjugate()
     return make_symbol(coeffs)
+
+
+#: any finite complex value, signed zeros included
+any_complex = st.builds(
+    complex,
+    st.floats(-10.0, 10.0, allow_nan=False),
+    st.floats(-10.0, 10.0, allow_nan=False),
+)
+
+
+@st.composite
+def hermitian_data(draw):
+    """c_0 > 0 with an imaginary residue inside the tolerance, then up to twelve
+    arbitrary c_k: Hermitian Toeplitz data, not necessarily positive definite."""
+    c0 = complex(draw(st.floats(1e-3, 10.0)), draw(st.floats(-1e-14, 1e-14)))
+    return MomentSequence([c0, *draw(st.lists(any_complex, max_size=12))])
 
 
 def per_degree_log_dn(alphas, n: int, log_c0: float) -> float:
@@ -155,3 +173,24 @@ def test_verify_reruns_print_the_same_bytes(s, n_max):
         ):
             first = cli_stdout(argv)
             assert first[1] and first == cli_stdout(argv), argv
+
+
+@PROPERTY_SETTINGS
+@given(m=hermitian_data(), data=st.data())
+def test_assemble_reads_every_entry_from_its_moment(m, data):
+    n = data.draw(st.integers(0, m.order))
+    t = assemble(m, n)
+    expected = np.array([[m.moment(j - i) for j in range(n + 1)] for i in range(n + 1)])
+    assert t.flags.c_contiguous
+    assert same_bits(t.view(float), expected.view(float))
+
+
+@PROPERTY_SETTINGS
+@given(x=st.lists(any_complex, min_size=1, max_size=13))
+def test_hermitian_strip_puts_x_k_at_n_plus_k_and_its_conjugate_at_n_minus_k(x):
+    x = np.array(x)
+    n = len(x) - 1
+    strip = hermitian_strip(x)
+    assert strip.shape == (2 * n + 1,)
+    assert same_bits(strip[n:].view(float), x.view(float))
+    assert same_bits(strip[:n][::-1].copy().view(float), np.conj(x[1:]).view(float))

@@ -219,6 +219,31 @@ class TestMomentSequence:
         assert mn.c0 == 1.0
         assert mn.moment(1) == 0.5
 
+    def test_tuple_list_and_array_give_equal_read_only_values(self):
+        data = [2.0, 0.5 - 0.25j, -0.0 - 0.125j, 1e-300]
+        for source in (tuple(data), data, np.array(data)):
+            m = MomentSequence(source)
+            assert isinstance(m.values, np.ndarray) and m.values.dtype == complex
+            assert same_bits(m.values.view(float), np.array(data, dtype=complex).view(float))
+            assert not m.values.flags.writeable
+            with pytest.raises(ValueError):
+                m.values[1] = 0.0
+
+    def test_values_are_a_copy_of_the_source(self):
+        for source in (np.array([2.0, 1.0 + 0.5j]), np.array([2.0, 1.0])):
+            m = MomentSequence(source)
+            source[1] = 7.0
+            assert m.values[1] != 7.0 and source[1] == 7.0
+
+    def test_normalized_divides_as_python_complex_division(self, suite):
+        from szego_lab.verify import scaled_symbol
+
+        for s in suite.values():
+            for t in (1.0, 0.5):
+                raw = moments(scaled_symbol(s, t), 81)
+                expected = np.array([v / raw.c0 for v in raw.values.tolist()])
+                assert same_bits(raw.normalized().values.view(float), expected.view(float))
+
 
 class TestTruncationAndTarget:
     def test_truncation_at_or_beyond_bandwidth_is_identity(self, two_band_symbol):

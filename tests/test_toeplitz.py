@@ -1,6 +1,7 @@
 """Toeplitz assembly, the two log-determinant routes, and the F/G ledger."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,18 @@ class TestAssemble:
         assert np.allclose(t, t.conj().T, atol=0.0)
         for k in range(-6, 7):
             assert np.allclose(np.diag(t, k), np.diag(t, k)[0])
+
+    def test_allocates_only_the_matrix(self, cos_symbol):
+        m = moments(cos_symbol, 800)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            t = assemble(m, 800)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert t.flags.c_contiguous
+        assert peak - before <= 1.1 * t.nbytes
 
 
 class TestLogDetDirect:
