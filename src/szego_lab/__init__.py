@@ -47,9 +47,7 @@ _HOMES = {
         "log_dn_and_g",
     ),
     "szego_fn": (
-        "SzegoSeries",
         "alpha_from_D",
-        "build_szego",
         "decay_fit",
         "disk_integral_check",
         "eval_D",

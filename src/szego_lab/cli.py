@@ -34,7 +34,7 @@ from .symbol import (
     moments,
     stored_symbol,
 )
-from .textio import CSV_SCHEMA, fmt, json_text
+from .textio import CSV_SCHEMA, fmt, json_text, records
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -91,25 +91,15 @@ def _write_checks(args, body: str, checks: list[tuple[str, bool, str]]) -> int:
 
 def load_moments_csv(path) -> MomentSequence:
     """Read a moments CSV as written by the moments subcommand."""
+    with open(path, "rb") as handle:
+        data = handle.read()
     values: dict[int, complex] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#") or line.startswith("n,"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise SymbolParseError("expected `n,re,im`", lineno=lineno)
-            try:
-                n = int(parts[0])
-                value = complex(float(parts[1]), float(parts[2]))
-            except ValueError:
-                raise SymbolParseError(f"could not parse {line!r}", lineno=lineno) from None
-            if not cmath.isfinite(value):
-                raise SymbolParseError(f"moment {n} is not finite", lineno=lineno)
-            if n < 0 or n in values:
-                raise SymbolParseError(f"bad moment index {n}", lineno=lineno)
-            values[n] = value
+    for n, value, lineno in records(data, ",", "expected `n,re,im`", skip=("#", "n,")):
+        if not cmath.isfinite(value):
+            raise SymbolParseError(f"moment {n} is not finite", lineno=lineno)
+        if n < 0 or n in values:
+            raise SymbolParseError(f"bad moment index {n}", lineno=lineno)
+        values[n] = value
     if 0 not in values or sorted(values) != list(range(len(values))):
         raise SymbolParseError("moment indices must be contiguous from 0")
     return MomentSequence([values[i] for i in range(len(values))])
@@ -308,7 +298,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SymbolParseError, UnicodeDecodeError) as exc:
+    except SymbolParseError as exc:
         print(f"szego-lab: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, MemoryError) as exc:

@@ -24,7 +24,7 @@ from .errors import (
     QuadratureError,
     SymbolParseError,
 )
-from .textio import fmt
+from .textio import fmt, records
 
 SYMMETRY_TOL = 1e-12
 IMAG_RESIDUE_TOL = 1e-13
@@ -270,32 +270,14 @@ def stored_symbol(entries: Iterable[tuple[int, complex, int | str]]) -> LaurentS
     return LaurentSymbol(tuple(stored.get(k, 0.0 + 0.0j) for k in range(bandwidth + 1)))
 
 
-def parse_symbol(text: str) -> LaurentSymbol:
-    """Parse the plain-text symbol format (negative k implied by symmetry)."""
-    return stored_symbol(_symbol_lines(text))
-
-
-def _symbol_lines(text: str):
-    """(k, l_k, line number) for each `k re im` line, in file order."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise SymbolParseError(
-                f"expected `k re im`, got {len(parts)} fields", lineno=lineno
-            )
-        try:
-            k = int(parts[0])
-            re, im = float(parts[1]), float(parts[2])
-        except ValueError:
-            raise SymbolParseError(f"could not parse {line!r}", lineno=lineno) from None
-        yield k, complex(re, im), lineno
+def parse_symbol(text: str | bytes) -> LaurentSymbol:
+    """Parse the plain-text symbol format (negative k implied by symmetry); bytes are UTF-8."""
+    data = text.encode("utf-8") if isinstance(text, str) else text
+    return stored_symbol(records(data, None, "expected `k re im`, got {} fields"))
 
 
 def load_symbol(path) -> LaurentSymbol:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         return parse_symbol(handle.read())
 
 

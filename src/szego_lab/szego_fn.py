@@ -2,9 +2,10 @@
 
 For an analytic log-weight L with coefficients l_k, the outer function
 D(z) = exp(l_0/2) · exp(Σ_{k≥1} l_k z^k) satisfies |D(e^{iθ})|² = w(θ) and
-D(0) = κ_∞^{-1}.  This module holds the series, its reciprocal, the
-D-function route to the Verblunsky coefficients, the exponential-decay fit,
-and the disk-integral form of Σ k|l_k|².
+D(0) = κ_∞^{-1}.  The symbol alone fixes D, so every function here takes the
+:class:`LaurentSymbol` itself.  This module holds the series, its reciprocal,
+the D-function route to the Verblunsky coefficients, the exponential-decay
+fit, and the disk-integral form of Σ k|l_k|².
 """
 
 from __future__ import annotations
@@ -23,34 +24,21 @@ from .symbol import LaurentSymbol
 DECAY_FLOOR = 1e-13
 
 
-@dataclass(frozen=True)
-class SzegoSeries:
-    """D(z) = d0 · exp(Σ_{k≥1} log_series[k-1] z^k), with d0 = exp(l_0/2)."""
-
-    d0: float
-    log_series: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "log_series", np.asarray(self.log_series, dtype=complex)
-        )
-
-    @property
-    def truncation(self) -> int:
-        return len(self.log_series)
+def _d0(s: LaurentSymbol) -> float:
+    """D(0) = exp(l_0/2) = κ_∞^{-1}."""
+    return float(np.exp(0.5 * s.mean))
 
 
-def build_szego(s: LaurentSymbol) -> SzegoSeries:
-    """Szegő function of an analytic symbol: entire for finite bandwidth."""
-    tail = np.asarray(s.coeffs[1:], dtype=complex)
-    return SzegoSeries(d0=float(np.exp(0.5 * s.mean)), log_series=tail)
+def _log_series(s: LaurentSymbol) -> np.ndarray:
+    """l_1..l_K, the Taylor coefficients of log D from z^1 on."""
+    return np.asarray(s.coeffs[1:], dtype=complex)
 
 
-def eval_D(d: SzegoSeries, z) -> np.ndarray | complex:
-    """D(z); exact up to rounding for finite truncation."""
+def eval_D(s: LaurentSymbol, z) -> np.ndarray | complex:
+    """D(z); exact up to rounding for finite bandwidth, since D is then entire."""
     z_arr = np.asarray(z, dtype=complex)
-    series = np.concatenate([np.zeros(1, dtype=complex), d.log_series])
-    values = d.d0 * np.exp(np.polynomial.polynomial.polyval(z_arr, series))
+    series = np.concatenate([np.zeros(1, dtype=complex), _log_series(s)])
+    values = _d0(s) * np.exp(np.polynomial.polynomial.polyval(z_arr, series))
     return complex(values) if np.isscalar(z) or z_arr.ndim == 0 else values
 
 
@@ -70,19 +58,19 @@ def _series_exp(g: np.ndarray, j_max: int) -> np.ndarray:
     return out
 
 
-def series_coeffs(d: SzegoSeries, j_max: int) -> np.ndarray:
+def series_coeffs(s: LaurentSymbol, j_max: int) -> np.ndarray:
     """Taylor coefficients of D itself."""
-    return d.d0 * _series_exp(d.log_series, j_max)
+    return _d0(s) * _series_exp(_log_series(s), j_max)
 
 
-def inverse_coeffs(d: SzegoSeries, j_max: int) -> np.ndarray:
+def inverse_coeffs(s: LaurentSymbol, j_max: int) -> np.ndarray:
     """Taylor coefficients of 1/D(z), via exp of the negated log-series."""
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
-    return _series_exp(-d.log_series, j_max) / d.d0
+    return _series_exp(-_log_series(s), j_max) / _d0(s)
 
 
-def alpha_from_D(traj: Trajectory, d: SzegoSeries, n: int) -> complex:
+def alpha_from_D(traj: Trajectory, s: LaurentSymbol, n: int) -> complex:
     """α_n from the D-function integral, independent of the recursion route.
 
     α_n = -κ_∞ ∫ conj(Φ_{n+1}(e^{iθ})) D(e^{iθ})^{-1} dμ(θ) with
@@ -96,9 +84,9 @@ def alpha_from_D(traj: Trajectory, d: SzegoSeries, n: int) -> complex:
     def integrand(theta: np.ndarray) -> np.ndarray:
         z = quadrature.circle_points(theta)
         # D^{-1} dμ = (|D|²/D) dθ/2π = conj(D) dθ/2π on the boundary
-        return np.conj(np.polynomial.polynomial.polyval(z, phi_next)) * np.conj(eval_D(d, z))
+        return np.conj(np.polynomial.polynomial.polyval(z, phi_next)) * np.conj(eval_D(s, z))
 
-    kappa_inf = 1.0 / d.d0
+    kappa_inf = 1.0 / _d0(s)
     value, _ = quadrature.adaptive_circle_mean(integrand, start=512)
     return complex(-kappa_inf * value)
 
@@ -139,7 +127,7 @@ def decay_fit(alphas: Sequence[complex]) -> DecayFit:
     )
 
 
-def disk_integral_check(d: SzegoSeries, r: float) -> float:
+def disk_integral_check(s: LaurentSymbol, r: float) -> float:
     """(1/π) ∫_{|z|≤r} |∂_z log D|² d²z by a 64-radius Gauss–Legendre × 256-angle
     uniform tensor rule.
 
@@ -149,9 +137,9 @@ def disk_integral_check(d: SzegoSeries, r: float) -> float:
     """
     if not 0.0 < r < 1.0:
         raise ValueError("radius must lie in (0, 1)")
-    if d.truncation == 0:
+    if s.bandwidth == 0:
         return 0.0
-    deriv = np.arange(1, d.truncation + 1) * d.log_series  # ∂_z log D coefficients
+    deriv = np.arange(1, s.bandwidth + 1) * _log_series(s)  # ∂_z log D coefficients
     radii, weights = quadrature.gauss_legendre(64, 0.0, r)
     theta = quadrature.angles(256)
     z = radii[:, None] * quadrature.circle_points(theta)[None, :]
@@ -160,7 +148,7 @@ def disk_integral_check(d: SzegoSeries, r: float) -> float:
     return float(2.0 * np.sum(weights * radii * angular_mean))
 
 
-def phi_star_convergence(traj: Trajectory, d: SzegoSeries) -> np.ndarray:
+def phi_star_convergence(traj: Trajectory, s: LaurentSymbol) -> np.ndarray:
     """max_z |φ_n*(z) - D(z)^{-1}| per degree n, on a grid reaching past the circle.
 
     The grid is 16 radii × 64 angles inside |z| ≤ 1.05, probing the
@@ -170,11 +158,11 @@ def phi_star_convergence(traj: Trajectory, d: SzegoSeries) -> np.ndarray:
     angles = quadrature.angles(64)
     grid = (radii[:, None] * quadrature.circle_points(angles)[None, :]).ravel()
     values = np.polynomial.polynomial.polyval(grid, traj.phi_star.T)
-    return np.max(np.abs(values - 1.0 / eval_D(d, grid)), axis=1)
+    return np.max(np.abs(values - 1.0 / eval_D(s, grid)), axis=1)
 
 
-def boundary_l2_error(traj: Trajectory, d: SzegoSeries) -> np.ndarray:
+def boundary_l2_error(traj: Trajectory, s: LaurentSymbol) -> np.ndarray:
     """∫ |D φ_n* - 1|² dθ/2π per degree n, on a fixed 512-point uniform boundary grid."""
     z = quadrature.circle_points(quadrature.angles(512))
     values = np.polynomial.polynomial.polyval(z, traj.phi_star.T)
-    return np.mean(np.abs(eval_D(d, z) * values - 1.0) ** 2, axis=1)
+    return np.mean(np.abs(eval_D(s, z) * values - 1.0) ** 2, axis=1)

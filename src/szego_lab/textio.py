@@ -3,11 +3,15 @@
 All floats are printed with 17 significant digits so that identical inputs
 produce byte-identical reports and every value round-trips exactly.  JSON
 writes a non-finite float as ``Infinity``, ``-Infinity`` or ``NaN``, as :mod:`json` does.
+:func:`records` is the one reader of the `k re im` line formats: symbol files
+and moments CSVs.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import SymbolParseError
 
 CSV_SCHEMA = "# schema=1"
 _JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
@@ -52,3 +56,30 @@ def _json_token(value, indent: int) -> str:
 def json_text(obj) -> str:
     """JSON with deterministic layout and 17-digit floats."""
     return _json_token(obj, 0) + "\n"
+
+
+def records(data: bytes, sep: str | None, shape_error: str, skip=("#",)):
+    """(k, complex(re, im), line number) for each three-field line of ``data``, in order.
+
+    Lines end at LF, CRLF or CR and are decoded as UTF-8 one by one; blank lines
+    and those that start with a prefix in ``skip`` are passed over.  A line that
+    is not UTF-8, does not split on ``sep`` into three fields (``shape_error``,
+    given the field count) or does not parse as ``int, float, float`` raises
+    :class:`SymbolParseError` naming its line.
+    """
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise SymbolParseError(str(exc), lineno=lineno) from None
+        if not line or line.startswith(skip):
+            continue
+        parts = line.split(sep)
+        if len(parts) != 3:
+            raise SymbolParseError(shape_error.format(len(parts)), lineno=lineno)
+        try:
+            k = int(parts[0])
+            value = complex(float(parts[1]), float(parts[2]))
+        except ValueError:
+            raise SymbolParseError(f"could not parse {line!r}", lineno=lineno) from None
+        yield k, value, lineno

@@ -6,15 +6,13 @@ block is the same leading block of the full factor, so every leading minor
 log D_n = 2 Σ_{i≤n} log L_ii comes from one O(N³) factorization.  The product
 route accumulates D_n = Π_{j≤n} ‖Φ_j‖² from c_0 and the Verblunsky
 coefficients alone, with prefix sums over log(1-|α_j|²) in O(N) time.  The
-ledger tracks log D_n, the ratio D_{n+1}/D_n, which is the running product
-F = c_0 Π (1-|α_j|²), and G_n = Π_j (1-|α_j|²)^{-min(n,j)-1}, all carried in
-log space internally.  The direct route never reads an α and the product
-route never reads the factor.
+ledger is three arrays over n: log D_n, the ratio D_{n+1}/D_n, which is the
+running product F = c_0 Π (1-|α_j|²), and G_n = Π_j (1-|α_j|²)^{-min(n,j)-1},
+all carried in log space internally.  The direct route never reads an α and
+the product route never reads the factor.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -94,30 +92,13 @@ def log_det_product(state: RecursionState) -> float:
     return float(log_dn[-1])
 
 
-@dataclass(frozen=True)
-class LedgerRow:
-    n: int
-    log_dn: float
-    ratio: float  # D_{n+1}/D_n = F = c_0 Π_{j≤n} (1-|α_j|²)
-    g_n: float
-
-
-@dataclass(frozen=True)
-class DeterminantLedger:
-    """Per-degree record of the determinant functionals for one measure."""
-
-    rows: tuple[LedgerRow, ...]
-    log_c0: float
-
-
-def ledger(state: RecursionState, n_max: int) -> DeterminantLedger:
-    """Ledger rows for n = 0..n_max from a recursion state holding the α's.
+def ledger(state: RecursionState, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log D_n, D_{n+1}/D_n, G_n) for n = 0..n_max, from a recursion state holding the α's.
 
     G_n uses the probability-normalized convention G_n(dμ) = G_n(dμ/c_0),
-    which depends on the α's alone; log c_0 is recorded separately.  The
-    state must carry at least n_max + 1 Verblunsky coefficients so the ratio
-    column D_{n+1}/D_n = c_0 Π_{j≤n}(1-|α_j|²), which is F, is available on
-    every row.
+    which depends on the α's alone.  The state must carry at least n_max + 1
+    Verblunsky coefficients so the ratio D_{n+1}/D_n = c_0 Π_{j≤n}(1-|α_j|²),
+    which is F, is available at every degree.
     """
     if n_max < 0:
         raise ValueError("ledger needs n_max >= 0")
@@ -127,15 +108,5 @@ def ledger(state: RecursionState, n_max: int) -> DeterminantLedger:
         )
     log_c0 = float(np.log(state.c0))
     log_dn, log_g = log_dn_and_g(state.alphas, n_max, log_c0)
-    ratios = np.exp(log_c0 + np.cumsum(log_rho_sq(state.alphas[: n_max + 1])))
-    g_n = np.exp(log_g)
-    rows = tuple(
-        LedgerRow(
-            n=n,
-            log_dn=float(log_dn[n]),
-            ratio=float(ratios[n]),
-            g_n=float(g_n[n]),
-        )
-        for n in range(n_max + 1)
-    )
-    return DeterminantLedger(rows=rows, log_c0=log_c0)
+    ratio = np.exp(log_c0 + np.cumsum(log_rho_sq(state.alphas[: n_max + 1])))
+    return log_dn, ratio, np.exp(log_g)

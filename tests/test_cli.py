@@ -74,6 +74,24 @@ class TestMoments:
         monkeypatch.setenv("SZEGO_LAB_GRID_MAX", "64")
         assert cli.main(["moments", "--coeff", "1=0.5", "--nmax", "4"]) == 3
 
+    @pytest.mark.parametrize(
+        "value, problem",
+        [
+            ("abc", "must be an integer, got 'abc'"),
+            ("1.5", "must be an integer, got '1.5'"),
+            ("0", "must be positive, got 0"),
+            ("-3", "must be positive, got -3"),
+        ],
+    )
+    def test_bad_grid_cap_exits_3_in_one_line(self, capsys, monkeypatch, value, problem):
+        monkeypatch.setenv("SZEGO_LAB_GRID_MAX", value)
+        capsys.readouterr()
+        assert cli.main(["moments", "--coeff", "1=0.5"]) == 3
+        assert capsys.readouterr() == (
+            "",
+            f"szego-lab: quadrature error: SZEGO_LAB_GRID_MAX {problem}\n",
+        )
+
     def test_large_amplitude_stops_at_the_rounding_floor_of_c0(self, tmp_path):
         # c_0 = I_0(20) ≈ 4.4e7: the grid stops once a change is 1e-14 of c_0
         code, text = run_cli(["moments", "--coeff", "1=10", "--nmax", "4"], tmp_path)
@@ -409,8 +427,47 @@ class TestSymbolInputs:
         assert from_flags.coeffs == from_file.coeffs == (-0.2 + 0j, 0.05 + 0.02j, 0.1 - 0.3j)
 
 
+#: (format, file bytes, the one stderr line) for each parse error of a symbol
+#: file and of a moments CSV; every one exits 2
+PARSE_ERRORS = [
+    ("symbol", b"0 0.1 0\n1 0.5\n", "line 2: expected `k re im`, got 2 fields"),
+    ("symbol", b"1 x 0\n", "line 1: could not parse '1 x 0'"),
+    ("symbol", b"# k re im\n\n1 nan 0\n", "line 3: coefficient 1 is not finite"),
+    ("symbol", b"-1 0.5 0\n", "line 1: only k >= 0 may be stored; negative k is implied"),
+    ("symbol", b"1 0.5 0\n1 0.2 0\n", "line 2: duplicate coefficient k=1"),
+    ("symbol", b"0 0.1 0.2\n", "line 1: coefficient 0 must be real"),
+    ("symbol", b"# k re im\r\n1 0.5 0\r\n1 x 0\r\n", "line 3: could not parse '1 x 0'"),
+    ("symbol", b"# k re im\r1 0.5 0\r\r1 0.2 0\r", "line 4: duplicate coefficient k=1"),
+    ("moments", b"n,re,im\n0,1,0\n1,0.5\n", "line 3: expected `n,re,im`"),
+    ("moments", b"0,1,0\n1,x,0\n", "line 2: could not parse '1,x,0'"),
+    ("moments", b"0,1,0\n1,inf,0\n", "line 2: moment 1 is not finite"),
+    ("moments", b"0,1,0\n-1,0.5,0\n", "line 2: bad moment index -1"),
+    ("moments", b"0,1,0\n0,1,0\n", "line 2: bad moment index 0"),
+    ("moments", b"0,1,0\n2,0.5,0\n", "moment indices must be contiguous from 0"),
+    ("moments", b"# schema=1\nn,re,im\n", "moment indices must be contiguous from 0"),
+    ("moments", b"# c\r\n0,1,0\r\n1,x,0\r\n", "line 3: could not parse '1,x,0'"),
+    ("moments", b"# c\r0,1,0\r1,x,0\r", "line 3: could not parse '1,x,0'"),
+]
+
+
+class TestParseErrorLines:
+    """Every parse error exits 2 with one line that names the problem and its line."""
+
+    @pytest.mark.parametrize("kind, data, message", PARSE_ERRORS)
+    def test_parse_error_line(self, tmp_path, capsys, kind, data, message):
+        path = tmp_path / "input.txt"
+        path.write_bytes(data)
+        argv = {
+            "symbol": ["moments", "--symbol", str(path)],
+            "moments": ["verify", "--moments", str(path), "--nmax", "1"],
+        }[kind]
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"szego-lab: parse error: {message}\n")
+
+
 #: argv whose path cannot be read or written: ``{dir}`` is a directory and
-#: ``{latin}`` a file that is not UTF-8
+#: ``{latin}`` a file whose second line is not UTF-8
 BAD_PATH_COMMANDS = [
     ["moments", "--coeff", "1=0.5", "--out", "{dir}"],
     ["moments", "--symbol", "{dir}"],
@@ -426,7 +483,7 @@ class TestPathAndMemoryErrors:
     @pytest.mark.parametrize("argv", BAD_PATH_COMMANDS)
     def test_bad_path_exits_2_in_one_line(self, tmp_path, capsys, argv):
         latin = tmp_path / "latin.txt"
-        latin.write_bytes(b"1 0.5 0\n\xff 0.1 0\n")
+        latin.write_bytes(b"# line 1 is UTF-8\n\xff 0.1 0\n")
         paths = {"dir": tmp_path, "latin": latin}
         capsys.readouterr()
         assert cli.main([arg.format(**paths) for arg in argv]) == 2
@@ -435,7 +492,10 @@ class TestPathAndMemoryErrors:
         if "{dir}" in argv:
             assert err == f"szego-lab: [Errno 21] Is a directory: '{tmp_path}'\n"
         else:
-            assert err.startswith("szego-lab: parse error: 'utf-8' codec can't decode byte 0xff")
+            assert err == (
+                "szego-lab: parse error: line 2: "
+                "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+            )
 
     @pytest.mark.parametrize("source", ["symbol", "moments"])
     def test_matrix_that_does_not_fit_exits_4_in_one_line(

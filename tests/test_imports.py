@@ -19,13 +19,13 @@ SRC = str(Path(szego_lab.__file__).resolve().parents[1])
 #: the modules that only some commands need
 HEAVY = {"verify", "opuc", "toeplitz", "coulomb", "cdkernel", "szego_fn"}
 
-#: the public surface: 57 functions and classes and the 10 submodules
+#: the public surface: 55 functions and classes and the 10 submodules
 PUBLIC = sorted([
     "BSApproxBundle", "ConjugateSymmetryError", "ConvergenceReport", "CoulombEstimate",
     "InsufficientDataError", "InvariantViolation", "LaurentSymbol", "MomentSequence",
     "MonicPoly", "PositivityError", "QuadratureError", "RecursionConsistencyError",
-    "RecursionState", "SymbolParseError", "SzegoLabError", "SzegoSeries", "Trajectory",
-    "alpha_from_D", "assemble", "bs_approximation", "bs_log_weight", "build_szego",
+    "RecursionState", "SymbolParseError", "SzegoLabError", "Trajectory",
+    "alpha_from_D", "assemble", "bs_approximation", "bs_log_weight",
     "decay_fit", "default_suite", "disk_integral_check", "eval_D", "eval_log_weight",
     "eval_weight", "exact_Dn", "feynman_hellman_check", "gi_bound_check", "gi_truncate",
     "integrated_identity_check", "inverse_coeffs", "inverse_step", "kernel_cd",
@@ -103,7 +103,7 @@ def test_a_public_name_loads_its_home_module():
 
 
 def test_public_surface_is_unchanged():
-    assert len(PUBLIC) == 67
+    assert len(PUBLIC) == 65
     assert sorted(szego_lab.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(szego_lab, name) is not None, name
@@ -120,6 +120,6 @@ def test_dir_and_star_import_give_every_public_name():
         "assert public == sorted(szego_lab.__all__), public\n"
         "from szego_lab import *\n"
         "missing = [name for name in szego_lab.__all__ if name not in globals()]\n"
-        "assert len(szego_lab.__all__) == 67 and not missing, missing\n"
+        "assert len(szego_lab.__all__) == 65 and not missing, missing\n"
     )
     assert len(loaded_after(code)["modules"]) == 10
