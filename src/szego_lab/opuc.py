@@ -4,11 +4,13 @@ The recursion Φ_{n+1} = zΦ_n - ᾱ_n Φ_n*, with the reversed polynomial
 Φ_n*(z) = z^n conj(Φ_n(1/z̄)), extracts the Verblunsky coefficients α_n from
 the moments through the bilinear form ⟨z^a, z^b⟩ = c_{a-b}.  Each step reads
 the moments once, in the O(n) sum ⟨1, zΦ_n⟩ = Σ_b Φ_n[b] c_{-b-1}, which
-equals ⟨Φ_n*, zΦ_n⟩ because zΦ_n is orthogonal to z, ..., z^n.  Φ_n* is
-never stored: a state derives it from Φ_n by the reversal involution.
-One loop, :func:`_walk`, runs the recursion on bare arrays: :func:`run_to`
-builds one state from its last item (O(N) memory), :func:`trajectory` one
-row of a coefficient array from every item, so that callers evaluate all degrees at once.
+equals ⟨Φ_n*, zΦ_n⟩ because zΦ_n is orthogonal to z, ..., z^n.  A state
+never stores Φ_n*: it derives it from Φ_n by the reversal involution.
+One loop, :func:`_walk`, runs the recursion in one sliding buffer and one
+scratch array, with no allocation per step; each item is a view that the next
+step overwrites.  :func:`run_to` copies its last item into one state (O(N)
+memory), :func:`trajectory` copies every item into one row of a coefficient
+array, so that callers evaluate all degrees at once.
 """
 
 from __future__ import annotations
@@ -69,54 +71,51 @@ class RecursionState:
         return 1.0 / np.sqrt(self.norm_sq)
 
 
-def _advance(
-    coeffs: np.ndarray, norm_sq: float, c: np.ndarray, n: int
-) -> tuple[np.ndarray, float, complex]:
-    """One Szegő step on bare data: (Φ_{n+1}, ‖Φ_{n+1}‖², α_n) from (Φ_n, ‖Φ_n‖²).
-
-    ``coeffs`` holds Φ_n in ascending order and ``c`` the moments c_0..c_{n+1}
-    or more.  ᾱ_n = ⟨Φ_n*, zΦ_n⟩/‖Φ_n‖² by orthogonality of Φ_{n+1} to Φ_n*,
-    and ⟨Φ_n*, zΦ_n⟩ = ⟨1, zΦ_n⟩ = Σ_b Φ_n[b] c_{-b-1}; then
-    Φ_{n+1} = zΦ_n - ᾱ_n Φ_n* and ‖Φ_{n+1}‖² = (1-|α_n|²)‖Φ_n‖².  A redundant
-    cross-check confirms α_n = -conj(Φ_{n+1}(0)).
-    """
-    alpha_bar = complex(np.vdot(c[1 : n + 2], coeffs)) / norm_sq
-    alpha = alpha_bar.conjugate()
-    if not abs(alpha) < 1.0:
-        raise PositivityError(
-            f"|alpha_{n}| = {abs(alpha):.6g} >= 1: moment matrix not positive "
-            "definite or accuracy exhausted"
-        )
-    next_coeffs = np.concatenate([np.zeros(1, dtype=complex), coeffs])
-    next_coeffs[: n + 1] -= alpha_bar * reversed_conj(coeffs)
-    if abs(alpha - (-np.conj(next_coeffs[0]))) > ALPHA_CROSSCHECK_TOL:
-        raise RecursionConsistencyError(
-            f"alpha_{n} disagrees with -conj(Phi_{n + 1}(0)) beyond {ALPHA_CROSSCHECK_TOL:g}"
-        )
-    return next_coeffs, norm_sq * (1.0 - abs(alpha) ** 2), alpha
-
-
 def _walk(m: MomentSequence, n: int):
-    """Yield (Φ_k coefficients, ‖Φ_k‖², [α_0..α_{k-1}]) for k = 0..n.  The α list
-    grows in place: a consumer that keeps it past the next item must copy it."""
+    """Yield (Φ_k coefficients, ‖Φ_k‖², [α_0..α_{k-1}]) for k = 0..n.
+
+    Φ_k is the view ``buf[n-k:]`` of one (n+1)-long buffer, so zΦ_k is
+    ``buf[n-k-1:]`` with no copy.  Step k takes ᾱ_k = ⟨Φ_k*, zΦ_k⟩/‖Φ_k‖², where
+    ⟨Φ_k*, zΦ_k⟩ = ⟨1, zΦ_k⟩ = Σ_b Φ_k[b] c_{-b-1} by orthogonality, then
+    Φ_{k+1} = zΦ_k - ᾱ_k Φ_k* in place, with Φ_k* reversed and conjugated into a
+    scratch array made once, and ‖Φ_{k+1}‖² = (1-|α_k|²)‖Φ_k‖².  A redundant
+    cross-check confirms α_k = -conj(Φ_{k+1}(0)).  The view changes in place and
+    the α list grows in place: a consumer that keeps either past the next item
+    must copy it.
+    """
     if not 0 <= n <= m.order:
         raise ValueError(f"target degree {n} not in 0..{m.order}: moments up to order {m.order}")
     c = m.values
-    coeffs = np.ones(1, dtype=complex)
+    buf = np.zeros(n + 1, dtype=complex)
+    buf[n] = 1.0
+    scratch = np.empty(n + 1, dtype=complex)
     norm_sq = m.c0
     alphas = []
-    yield coeffs, norm_sq, alphas
+    yield buf[n:], norm_sq, alphas
     for k in range(n):
-        coeffs, norm_sq, alpha = _advance(coeffs, norm_sq, c, k)
+        alpha_bar = complex(np.vdot(c[1 : k + 2], buf[n - k :])) / norm_sq
+        alpha = alpha_bar.conjugate()
+        if not abs(alpha) < 1.0:
+            raise PositivityError(
+                f"|alpha_{k}| = {abs(alpha):.6g} >= 1: moment matrix not positive "
+                "definite or accuracy exhausted"
+            )
+        star = np.conj(buf[n : n - k - 1 : -1], out=scratch[: k + 1])
+        buf[n - k - 1 : n] -= np.multiply(alpha_bar, star, out=star)
+        if abs(alpha - (-np.conj(buf[n - k - 1]))) > ALPHA_CROSSCHECK_TOL:
+            raise RecursionConsistencyError(
+                f"alpha_{k} disagrees with -conj(Phi_{k + 1}(0)) beyond {ALPHA_CROSSCHECK_TOL:g}"
+            )
+        norm_sq = norm_sq * (1.0 - abs(alpha) ** 2)
         alphas.append(alpha)
-        yield coeffs, norm_sq, alphas
+        yield buf[n - k - 1 :], norm_sq, alphas
 
 
 def run_to(m: MomentSequence, n: int) -> RecursionState:
     """The state of degree n, built once from the last item of :func:`_walk`."""
     for coeffs, norm_sq, alphas in _walk(m, n):
         pass
-    return RecursionState(n, MonicPoly(coeffs), norm_sq, tuple(alphas), m.c0)
+    return RecursionState(n, MonicPoly(coeffs.copy()), norm_sq, tuple(alphas), m.c0)
 
 
 @dataclass(frozen=True)

@@ -196,6 +196,27 @@ def _grid_moments(w: Callable[[np.ndarray], np.ndarray], n_max: int, m: int) -> 
     return spectrum[: n_max + 1].copy()
 
 
+def _fast_fft_size(m: int) -> int:
+    """The smallest size ≥ m with no prime factor above 7.
+
+    numpy's FFT runs such a size on its fast radix passes, where a size with a
+    large prime factor, such as 8·1609, goes through Bluestein's chirp at several
+    times the cost; doubling keeps the property.
+    """
+    best = 1 << (m - 1).bit_length()
+    p7 = 1
+    while p7 < best:
+        p5 = p7
+        while p5 < best:
+            odd = p5
+            while odd < best:
+                best = min(best, odd << (-(-m // odd) - 1).bit_length())
+                odd *= 3
+            p5 *= 5
+        p7 *= 7
+    return best
+
+
 def moments_from_function(
     w: Callable[[np.ndarray], np.ndarray], n_max: int, start: int = 64
 ) -> MomentSequence:
@@ -204,19 +225,24 @@ def moments_from_function(
     The m-point uniform rule (1/m) Σ_j e^{-inθ_j} w(θ_j) is applied via the FFT,
     doubling m until no moment moves by more than ``quadrature.STAGNATION_TOL``
     times max(1, c_0) (every |c_n| ≤ c_0) or the grid cap is exceeded; only
-    n ≥ 0 is computed, so symmetry is exact.
+    n ≥ 0 is computed, so symmetry is exact.  The first m is the smallest size
+    at least max(start, 2(n_max+1)) with no prime factor above 7, so every grid
+    below the cap is a fast FFT length.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     current, m = quadrature._double_until_stagnant(
-        lambda m: _grid_moments(w, n_max, m), max(int(start), 2 * (n_max + 1)), "moment"
+        lambda m: _grid_moments(w, n_max, m),
+        _fast_fft_size(max(int(start), 2 * (n_max + 1))),
+        "moment",
     )
     current[0] = current[0].real
     return MomentSequence(current, m)
 
 
 def moments(s: LaurentSymbol, n_max: int) -> MomentSequence:
-    """Moments of w = e^L for a symbol, starting from m = max(64, 8(n_max+K))."""
+    """Moments of w = e^L for a symbol, starting from m = max(64, 8(n_max+K)) raised
+    to the next size with no prime factor above 7 (see :func:`moments_from_function`)."""
     return moments_from_function(
         lambda th: eval_weight(s, th), n_max, start=8 * (n_max + s.bandwidth)
     )

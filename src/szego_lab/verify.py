@@ -453,14 +453,15 @@ def gi_bound_check(s: LaurentSymbol, level: int, n_max: int = 40) -> GIBoundRepo
         raise InvariantViolation("G_n of the BS truncation exceeds the full G_n")
 
     rows = tuple(
-        GIBoundRow(
-            n=n,
-            log_g_full=float(log_g_full[n]),
-            log_g_bs=float(log_g_bs[n]),
-            log_g_gi=float(log_g_gi[n]),
-            gap_full=float(target - log_g_full[n]),
+        GIBoundRow(n=n, log_g_full=full, log_g_bs=bs, log_g_gi=gi, gap_full=gap)
+        for n, (full, bs, gi, gap) in enumerate(
+            zip(
+                log_g_full.tolist(),
+                log_g_bs.tolist(),
+                log_g_gi.tolist(),
+                (target - log_g_full).tolist(),
+            )
         )
-        for n in range(n_max + 1)
     )
     return GIBoundReport(target=target, gi_target=gi_target, level=level, rows=rows)
 

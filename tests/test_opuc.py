@@ -22,10 +22,36 @@ from szego_lab import (
     zeros_in_disk,
 )
 from szego_lab.opuc import reversed_conj
-from szego_lab.symbol import MomentSequence
+from szego_lab.symbol import LaurentSymbol, MomentSequence
 from szego_lab.verify import bs_log_weight
 
 from conftest import bessel_i, geometric_moments, gram_schmidt_monic
+
+
+def reference_walk(m, n):
+    """``opuc._walk`` with fresh arrays per step: (Φ_k, ‖Φ_k‖², (α_0..α_{k-1})) for k = 0..n.
+
+    The reference for the bits of the recursion, which runs in one sliding
+    buffer and one scratch array.  Here each step builds zΦ_k by a
+    ``concatenate``, Φ_k* by :func:`reversed_conj` and ᾱ_k Φ_k* as a new product,
+    and each item is a new array that no later step writes.
+    """
+    c = m.values
+    coeffs, norm_sq, alphas = np.ones(1, dtype=complex), m.c0, ()
+    yield coeffs, norm_sq, alphas
+    for k in range(n):
+        alpha_bar = complex(np.vdot(c[1 : k + 2], coeffs)) / norm_sq
+        alpha = alpha_bar.conjugate()
+        if not abs(alpha) < 1.0:
+            raise PositivityError(
+                f"|alpha_{k}| = {abs(alpha):.6g} >= 1: moment matrix not positive "
+                "definite or accuracy exhausted"
+            )
+        next_coeffs = np.concatenate([np.zeros(1, dtype=complex), coeffs])
+        next_coeffs[: k + 1] -= alpha_bar * reversed_conj(coeffs)
+        coeffs, norm_sq = next_coeffs, norm_sq * (1.0 - abs(alpha) ** 2)
+        alphas += (alpha,)
+        yield coeffs, norm_sq, alphas
 
 
 def inner(p, q, gram):
@@ -173,6 +199,68 @@ class TestRunTo:
             run_to(m, 4)
         assert str(ran.value) == str(stepped.value)
         assert "alpha_3" in str(ran.value)
+
+
+def _random_complex_symbol(seed: int):
+    """A seeded log-weight with complex l_1..l_4 (a rotated, non-even weight)."""
+    rng = np.random.default_rng(seed)
+    tail = 0.3 * (rng.normal(size=4) + 1j * rng.normal(size=4))
+    return LaurentSymbol((rng.normal(),) + tuple(tail))
+
+
+DEEP = 1601
+
+
+@pytest.fixture(scope="module")
+def deep_moments(suite):
+    """Moments to order 1601 of the suite, the two deep-recursion weights and two random ones."""
+    symbols = dict(suite)
+    symbols["bs-0.97"] = bs_log_weight(0.97)
+    symbols["cosine-4.5"] = make_symbol({1: 4.5, -1: 4.5})
+    for seed in (3, 4):
+        symbols[f"random-{seed}"] = _random_complex_symbol(seed)
+    return {name: moments(s, DEEP) for name, s in symbols.items()}
+
+
+class TestSlidingBuffer:
+    """The one-buffer recursion against :func:`reference_walk`, bit for bit."""
+
+    NAMES = [
+        "lebesgue", "cosine", "two-band", "offset", "bernstein-szego",
+        "bs-0.97", "cosine-4.5", "random-3", "random-4",
+    ]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 401, DEEP])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_run_to_is_the_reference(self, deep_moments, name, n):
+        m = deep_moments[name]
+        *_, (coeffs, norm_sq, alphas) = reference_walk(m, n)
+        state = run_to(m, n)
+        assert state.alphas == alphas
+        assert np.array_equal(state.phi.coeffs, coeffs)
+        assert state.norm_sq == norm_sq
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 401, DEEP])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_every_trajectory_row_is_the_reference(self, deep_moments, name, n):
+        m = deep_moments[name]
+        traj = trajectory(m, n)
+        for k, (coeffs, norm_sq, alphas) in enumerate(reference_walk(m, n)):
+            assert np.array_equal(traj.coeffs[k, : k + 1], coeffs), k
+            assert not np.any(traj.coeffs[k, k + 1 :]), k
+            assert traj.norm_sq[k] == norm_sq, k
+        assert traj.alphas == alphas
+
+    def test_positivity_error_is_the_reference_text(self):
+        # l_1 = 10 is past the amplitude envelope: α leaves the disk before N = 401
+        m = moments(make_symbol({1: 10.0, -1: 10.0}), 401)
+        with pytest.raises(PositivityError) as want:
+            for _ in reference_walk(m, 401):
+                pass
+        for run in (run_to, trajectory):
+            with pytest.raises(PositivityError) as got:
+                run(m, 401)
+            assert str(got.value) == str(want.value)
 
 
 @pytest.fixture(scope="module")

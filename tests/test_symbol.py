@@ -26,8 +26,17 @@ from szego_lab.symbol import (
     moments_from_function,
     parse_symbol,
 )
+from szego_lab.verify import bs_log_weight
 
 from conftest import bessel_i, polyval_log_weight_z, same_bits
+
+
+def seven_smooth(k: int) -> bool:
+    """True if k has no prime factor above 7."""
+    for p in (2, 3, 5, 7):
+        while k % p == 0:
+            k //= p
+    return k == 1
 
 
 class TestMakeSymbol:
@@ -183,6 +192,48 @@ class TestMoments:
         monkeypatch.setenv("SZEGO_LAB_GRID_MAX", "64")
         with pytest.raises(QuadratureError):
             moments(cos_symbol, 4)
+
+    @pytest.mark.parametrize("n_max", [0, 8, 20, 22, 40, 200, 401, 1601])
+    def test_first_grid_is_the_smallest_seven_smooth_size_from_the_old_start(self, n_max):
+        # the old first grid max(64, start, 2(n_max+1)) is raised to the next size with
+        # no prime factor above 7; each later grid doubles it
+        bs = bs_log_weight(0.97)
+        for s, start in ((make_symbol({1: 0.5, -1: 0.5}), 64), (bs, 8 * (n_max + bs.bandwidth))):
+            grids = []
+
+            def weight(theta):
+                grids.append(theta.size)
+                return eval_weight(s, theta)
+
+            m = moments_from_function(weight, n_max, start=start)
+            old = max(64, start, 2 * (n_max + 1))
+            assert grids[0] == min(k for k in range(old, 2 * old + 1) if seven_smooth(k))
+            assert grids == [grids[0] << j for j in range(len(grids))]
+            assert m.quadrature_points == grids[-1]
+
+    @pytest.mark.parametrize("n_max", [8, 20, 40, 200, 401, 1601])
+    def test_every_symbol_grid_is_seven_smooth_and_at_least_the_old_start(self, suite, n_max):
+        for name, s in suite.items():
+            points = moments(s, n_max).quadrature_points
+            assert points >= max(64, 8 * (n_max + s.bandwidth)), name
+            assert seven_smooth(points), name
+
+    @pytest.mark.parametrize("cap", [1000, 1009])
+    def test_grid_cap_still_caps_a_smooth_start(self, monkeypatch, cap):
+        # 2·131 = 262 rises to 270, then 540; 1080 is past either cap
+        monkeypatch.setenv("SZEGO_LAB_GRID_MAX", str(cap))
+        grids = []
+
+        def weight(theta):
+            grids.append(theta.size)
+            return np.exp(np.cos(theta))
+
+        assert moments_from_function(weight, 130).quadrature_points == 540
+        assert grids == [270, 540]
+        grids.clear()
+        with pytest.raises(QuadratureError, match=f"grid cap {cap} "):
+            moments_from_function(weight, 130, start=1500)
+        assert grids == [cap]
 
     def test_rejects_negative_order(self, cos_symbol):
         with pytest.raises(ValueError):
