@@ -3,7 +3,9 @@
 K_n(z, ζ) = Σ_{j≤n} conj(φ_j(ζ)) φ_j(z) has two closed forms built from the
 degree n+1 or degree n orthonormal pair (φ, φ*); on the diagonal boundary the
 kernel collapses to a radial-derivative expression whose integral against dμ
-recovers the kernel normalization Σ_j ‖φ_j‖² = n+1.
+recovers the kernel normalization Σ_j ‖φ_j‖² = n+1.  The checks that
+``szego-lab cd-check`` prints live here with their bounds (:func:`identity_checks`);
+``szego-lab verify`` never loads this module.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from . import quadrature
 from .errors import InvariantViolation
 from .opuc import Trajectory
 from .symbol import LaurentSymbol, eval_weight
+from .textio import fmt
 
 #: below this |1 - conj(ζ)z| the closed forms lose too many digits; use the sum
 SINGULAR_THRESHOLD = 1e-6
@@ -94,3 +97,27 @@ def normalization_check(traj: Trajectory, s: LaurentSymbol, n: int) -> float:
 
     value, _ = quadrature.adaptive_circle_mean(integrand, start=512)
     return float(np.real(value)) / (n + 1)
+
+
+def identity_checks(
+    traj: Trajectory, s: LaurentSymbol, n: int, seed: int
+) -> tuple[str, list[tuple[str, bool, str]]]:
+    """cd-check's (empty body, checks) at degree n, from a trajectory to degree n+1:
+    both closed forms against the sum at seeded pairs inside the disk, the boundary
+    diagonal against the sum on the circle, and the kernel normalization."""
+    draws = np.random.default_rng(seed).uniform(size=(100, 4))  # for |z|, |ζ|, arg z, arg ζ
+    z, zeta = (0.95 * np.sqrt(draws[:, :2]) * quadrature.circle_points(2 * np.pi * draws[:, 2:])).T
+    reference = kernel_sum(traj, n, z, zeta)
+    closed = np.array([kernel_cd(traj, n, z, zeta, v) for v in ("next", "current")])
+    worst_closed = float(np.max(np.abs(closed - reference) / np.maximum(1.0, np.abs(reference))))
+    theta = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
+    diag = kernel_diag_boundary(traj, n, theta)
+    on_circle = quadrature.circle_points(theta)
+    direct = np.real(kernel_sum(traj, n, on_circle, on_circle))
+    worst_diag = float(np.max(np.abs(diag - direct) / np.maximum(1.0, np.abs(direct))))
+    ratio = normalization_check(traj, s, n)
+    return "", [
+        ("closed-forms", worst_closed <= 1e-11, f"worst deviation {fmt(worst_closed)}"),
+        ("diagonal-boundary", worst_diag <= 1e-10, f"worst deviation {fmt(worst_diag)}"),
+        ("normalization", abs(ratio - 1.0) <= 1e-9, f"ratio {fmt(ratio)}"),
+    ]

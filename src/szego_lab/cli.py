@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: moments, verify, coulomb, cd-check, bs-check, fh-check.
-Each one parses its flags, picks its input and prints; the checks that
-``verify`` prints, and their tolerances, live in :mod:`szego_lab.verify`.
+Each one parses its flags, picks its input and prints.  What a check command
+prints comes, with every rule and tolerance behind it, as `(body, [(name, ok,
+detail), …])` from one library call: :func:`szego_lab.cdkernel.identity_checks`
+for ``cd-check``, :mod:`szego_lab.verify` for ``verify``, ``bs-check``, ``fh-check``.
 Exit codes: 0 success, 1 invariant failure, 2 input parse or an unusable
 path, 3 quadrature, 4 out-of-range or out of memory.  Identical
 configurations produce byte-identical output: every random stream is seeded
@@ -16,11 +18,8 @@ import argparse
 import cmath
 import sys
 
-import numpy as np
-
 # a subcommand imports the modules that it alone runs inside its cmd_*, so
 # each command loads only what it needs
-from . import quadrature
 from .errors import (
     InvariantViolation,
     PositivityError,
@@ -73,20 +72,15 @@ def _write_output(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _checks_exit(checks: list[tuple[str, bool, str]]) -> int:
-    """Exit 0 only if every check passed."""
-    return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_INVARIANT
-
-
 def _write_checks(args, body: str, checks: list[tuple[str, bool, str]]) -> int:
     """Write ``body``, then one `# check NAME PASS|FAIL (detail)` line per check
-    (no parenthesis for an empty detail)."""
+    (no parenthesis for an empty detail); exit 0 only if every check passed."""
     lines = [
         f"# check {name} {'PASS' if ok else 'FAIL'}" + (f" ({detail})" if detail else "")
         for name, ok, detail in checks
     ]
     _write_output(args, body + "\n".join(lines) + "\n")
-    return _checks_exit(checks)
+    return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_INVARIANT
 
 
 def load_moments_csv(path) -> MomentSequence:
@@ -142,7 +136,7 @@ def cmd_verify(args) -> int:
         "checks": [{"name": name, "ok": ok, "detail": detail} for name, ok, detail in checks],
     }
     _write_output(args, json_text(payload))
-    return _checks_exit(checks)
+    return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_INVARIANT
 
 
 def cmd_coulomb(args) -> int:
@@ -165,66 +159,21 @@ def cmd_cd_check(args) -> int:
     from . import cdkernel, opuc
 
     s = _symbol_from_args(args)
-    n = args.nmax
-    m = moments(s, n + 2)
-    traj = opuc.trajectory(m, n + 1)
-    draws = np.random.default_rng(args.seed).uniform(size=(100, 4))  # for |z|, |ζ|, arg z, arg ζ
-    z, zeta = (0.95 * np.sqrt(draws[:, :2]) * quadrature.circle_points(2 * np.pi * draws[:, 2:])).T
-    reference = cdkernel.kernel_sum(traj, n, z, zeta)
-    closed = np.array([cdkernel.kernel_cd(traj, n, z, zeta, v) for v in ("next", "current")])
-    worst_closed = float(np.max(np.abs(closed - reference) / np.maximum(1.0, np.abs(reference))))
-    theta = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
-    diag = cdkernel.kernel_diag_boundary(traj, n, theta)
-    on_circle = quadrature.circle_points(theta)
-    direct = np.real(cdkernel.kernel_sum(traj, n, on_circle, on_circle))
-    worst_diag = float(np.max(np.abs(diag - direct) / np.maximum(1.0, np.abs(direct))))
-    ratio = cdkernel.normalization_check(traj, s, n)
-    checks = [
-        ("closed-forms", worst_closed <= 1e-11, f"worst deviation {fmt(worst_closed)}"),
-        ("diagonal-boundary", worst_diag <= 1e-10, f"worst deviation {fmt(worst_diag)}"),
-        ("normalization", abs(ratio - 1.0) <= 1e-9, f"ratio {fmt(ratio)}"),
-    ]
-    return _write_checks(args, "", checks)
+    traj = opuc.trajectory(moments(s, args.nmax + 2), args.nmax + 1)
+    return _write_checks(args, *cdkernel.identity_checks(traj, s, args.nmax, args.seed))
 
 
 def cmd_bs_check(args) -> int:
     from . import verify
 
-    s = _symbol_from_args(args)
-    level = args.nmax
-    m = moments(s, level + 10)
-    try:
-        bundle = verify.bs_approximation(m, level)
-    except InvariantViolation as exc:
-        return _write_checks(args, "", [("bs-approximation", False, str(exc))])
-    payload = {
-        "level": bundle.level,
-        "mass": bundle.mass,
-        "moment_deviation": bundle.moment_deviation,
-        "alpha_head_deviation": bundle.alpha_head_deviation,
-        "alpha_tail_deviation": bundle.alpha_tail_deviation,
-        "grid_m": bundle.grid_m,
-    }
-    return _write_checks(args, json_text(payload), [("bs-approximation", True, "")])
+    return _write_checks(args, *verify.bs_checks(_symbol_from_args(args), args.nmax))
 
 
 def cmd_fh_check(args) -> int:
     from . import verify
 
     s = _symbol_from_args(args)
-    result = verify.feynman_hellman_check(s, n=args.nmax, t=args.t, h=args.h)
-    payload = {
-        "n": args.nmax,
-        "t": args.t,
-        "h": result.h,
-        "analytic": result.analytic,
-        "finite_diff": result.finite_diff,
-        "gap": result.gap,
-        "ratio": result.ratio,
-    }
-    noise_floor = 1e-10 * max(1.0, abs(result.analytic))
-    ok = result.gap <= noise_floor or 3.0 <= result.ratio <= 5.0
-    return _write_checks(args, json_text(payload), [("feynman-hellman", ok, "")])
+    return _write_checks(args, *verify.fh_checks(s, args.nmax, args.t, args.h))
 
 
 # --------------------------------------------------------------------------

@@ -36,4 +36,8 @@ class InsufficientDataError(SzegoLabError, ValueError):
 
 
 class InvariantViolation(SzegoLabError, RuntimeError):
-    """A structural identity that should hold numerically was violated."""
+    """A structural identity that should hold numerically was violated; ``check`` names it."""
+
+    def __init__(self, message, check="invariant"):
+        super().__init__(message)
+        self.check = check

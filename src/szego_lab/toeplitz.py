@@ -59,9 +59,12 @@ def log_det_minors(m: MomentSequence, n_max: int) -> np.ndarray:
     return 2.0 * np.cumsum(_log_chol_diag(assemble(m, n_max)))
 
 
-def log_rho_sq(alphas) -> np.ndarray:
-    """r_j = log(1-|α_j|²) = log ρ_j²."""
-    return np.log1p(-np.abs(np.asarray(alphas, dtype=complex)) ** 2)
+def log_rho_sums(alphas, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(r_j = log(1-|α_j|²) for j < max(len(alphas), n_max + 1), zero past the list;
+    Σ_{j≤n} r_j = log(D_{n+1}/D_n) - log c_0 for n = 0..n_max): the one sum over the α's."""
+    r = np.zeros(max(len(alphas), n_max + 1))
+    r[: len(alphas)] = np.log1p(-np.abs(np.asarray(alphas, dtype=complex)) ** 2)
+    return r, np.cumsum(r[: n_max + 1])
 
 
 def log_dn_and_g(alphas, n_max: int, log_c0: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -73,10 +76,9 @@ def log_dn_and_g(alphas, n_max: int, log_c0: float = 0.0) -> tuple[np.ndarray, n
     log G_n = -Σ_{j≤n} (j+1) r_j - (n+1) Σ_{j>n} r_j.
     Every r_j is ≤ 0, so no sum cancels.  O(n_max + len(alphas)).
     """
-    r = np.zeros(max(len(alphas), n_max + 1))
-    r[: len(alphas)] = log_rho_sq(alphas)
+    r, prefix = log_rho_sums(alphas, n_max)
     degrees = np.arange(n_max + 1)
-    log_norm_excess = np.concatenate(([0.0], np.cumsum(r[:n_max])))
+    log_norm_excess = np.concatenate(([0.0], prefix[:-1]))
     log_dn = (degrees + 1) * log_c0 + np.cumsum(log_norm_excess)
     head = np.cumsum((np.arange(r.size) + 1) * r)[: n_max + 1]
     tail = np.append(np.cumsum(r[::-1])[::-1], 0.0)[1 : n_max + 2]  # Σ_{j>n} r_j
@@ -108,5 +110,5 @@ def ledger(state: RecursionState, n_max: int) -> tuple[np.ndarray, np.ndarray, n
         )
     log_c0 = float(np.log(state.c0))
     log_dn, log_g = log_dn_and_g(state.alphas, n_max, log_c0)
-    ratio = np.exp(log_c0 + np.cumsum(log_rho_sq(state.alphas[: n_max + 1])))
+    ratio = np.exp(log_c0 + log_rho_sums(state.alphas, n_max)[1])
     return log_dn, ratio, np.exp(log_g)

@@ -4,8 +4,9 @@ Everything here composes the lower modules into end-to-end verifications:
 the normalized determinant excess log D_n - (n+1) l_0 against Σ k|l_k|²,
 the Bernstein–Szegő approximation identities, the monotone G-functional
 bounds for truncated log-weights, and the derivative identities for the
-one-parameter family w_t = exp(tL - c_t).  The checks that ``szego-lab verify``
-prints live here with their tolerances (:func:`symbol_checks`, :func:`moment_checks`),
+one-parameter family w_t = exp(tL - c_t).  The checks that ``szego-lab verify``,
+``bs-check`` and ``fh-check`` print live here with their tolerances
+(:func:`symbol_checks`, :func:`moment_checks`, :func:`bs_checks`, :func:`fh_checks`),
 and one rule, :func:`g_problem`, judges every G_n sequence.
 """
 
@@ -30,8 +31,6 @@ from .symbol import (
     moments_from_function,
     target_sum,
 )
-# json_text is not called here: it is imported so that the perfbench layer span
-# on ``verify.json_text`` still finds its target
 from .textio import CSV_SCHEMA, fmt, json_text
 
 ROUTE_AGREEMENT_TOL = 1e-10
@@ -230,7 +229,8 @@ def strong_szego_report(
         if not routes_agree(log_direct[n], log_product):
             raise InvariantViolation(
                 f"determinant routes disagree at n={n}: "
-                f"direct {log_direct[n]!r} vs product {log_product!r}"
+                f"direct {log_direct[n]!r} vs product {log_product!r}",
+                check="route-agreement",
             )
         excess = log_product - (n + 1) * mean_coeff
         rows.append(
@@ -245,7 +245,7 @@ def strong_szego_report(
         )
     problem = g_problem(log_g, target)
     if problem:
-        raise InvariantViolation(f"G_n {problem}")
+        raise InvariantViolation(f"G_n {problem}", check="g-monotone-bounded")
     return ConvergenceReport(
         symbol_id=symbol_id,
         route="product",
@@ -266,11 +266,12 @@ def strong_szego_report(
 def symbol_checks(
     s: LaurentSymbol, n_max: int
 ) -> tuple[ConvergenceReport | None, list[tuple[str, bool, str]]]:
-    """(the limit report or None, its checks): a failed report is one FAIL row."""
+    """(the limit report or None, its checks): a failed report is one FAIL row,
+    named after the check that failed."""
     try:
         report = strong_szego_report(s, n_max=n_max)
     except (PositivityError, InvariantViolation) as exc:
-        name = "positivity" if isinstance(exc, PositivityError) else "invariant"
+        name = "positivity" if isinstance(exc, PositivityError) else exc.check
         return None, [(name, False, str(exc))]
     final = report.rows[-1]
     return report, [
@@ -306,7 +307,7 @@ def moment_checks(m: MomentSequence, n_max: int) -> list[tuple[str, bool, str]]:
     gaps = [_relative_gap(d, p) for d, p in zip(log_direct.tolist(), log_product.tolist())]
     worst = float(np.max(gaps))  # propagates a nan gap (a non-finite route); max() drops it
     # log(D_{n+1}/D_n) from the α's, independent of norm-monotone's norm_sq
-    log_ratios = log_c0 + np.cumsum(toeplitz.log_rho_sq(alphas[: n_top + 1]))
+    log_ratios = log_c0 + toeplitz.log_rho_sums(alphas, n_top)[1]
     ratios_ok = bool(np.all(np.diff(log_ratios) <= MONOTONE_SLACK))
     problem = opuc.winding_check(traj)
     return checks + [
@@ -366,28 +367,16 @@ def bs_approximation(m: MomentSequence, level: int) -> BSApproxBundle:
     moment_gap = new_m.values[: level + 1] - mn.values[: level + 1]
     # hypot is Python's abs(complex); np.abs differs in the last bit for about a third
     moment_dev = float(np.max(np.hypot(moment_gap.real, moment_gap.imag)))
-    head_dev = max(
-        (abs(new_alphas[j] - old_alphas[j]) for j in range(level)), default=0.0
-    )
-    tail_dev = max(
-        (abs(new_alphas[j]) for j in range(level, n_alphas)), default=0.0
-    )
-    if abs(mass - 1.0) > BS_APPROX_TOL:
-        raise InvariantViolation(
-            f"approximant mass {mass!r} is not 1 within {BS_APPROX_TOL:g}"
-        )
-    if moment_dev > BS_APPROX_TOL:
-        raise InvariantViolation(
-            f"approximant moments deviate by {moment_dev:g} through order {level}"
-        )
-    if head_dev > BS_APPROX_TOL:
-        raise InvariantViolation(
-            f"approximant alphas below level deviate by {head_dev:g}"
-        )
-    if tail_dev > BS_APPROX_TOL:
-        raise InvariantViolation(
-            f"approximant alphas from level on reach {tail_dev:g}, expected 0"
-        )
+    head_dev = max((abs(new_alphas[j] - old_alphas[j]) for j in range(level)), default=0.0)
+    tail_dev = max((abs(new_alphas[j]) for j in range(level, n_alphas)), default=0.0)
+    for deviation, problem in (
+        (abs(mass - 1.0), f"mass {mass!r} is not 1 within {BS_APPROX_TOL:g}"),
+        (moment_dev, f"moments deviate by {moment_dev:g} through order {level}"),
+        (head_dev, f"alphas below level deviate by {head_dev:g}"),
+        (tail_dev, f"alphas from level on reach {tail_dev:g}, expected 0"),
+    ):
+        if deviation > BS_APPROX_TOL:
+            raise InvariantViolation(f"approximant {problem}")
     grid_m = new_m.quadrature_points
     return BSApproxBundle(
         level=level,
@@ -399,6 +388,19 @@ def bs_approximation(m: MomentSequence, level: int) -> BSApproxBundle:
         alpha_head_deviation=float(head_dev),
         alpha_tail_deviation=float(tail_dev),
     )
+
+
+def bs_checks(s: LaurentSymbol, level: int) -> tuple[str, list[tuple[str, bool, str]]]:
+    """bs-check's (JSON body, checks): the level-N approximant's diagnostics, or no
+    body and one FAIL row naming the identity that :func:`bs_approximation` found broken."""
+    try:
+        bundle = bs_approximation(moments(s, level + 10), level)
+    except InvariantViolation as exc:
+        return "", [("bs-approximation", False, str(exc))]
+    fields = ("level", "mass", "moment_deviation", "alpha_head_deviation",
+              "alpha_tail_deviation", "grid_m")
+    body = json_text({name: getattr(bundle, name) for name in fields})
+    return body, [("bs-approximation", True, "")]
 
 
 # --------------------------------------------------------------------------
@@ -473,11 +475,13 @@ def gi_bound_check(s: LaurentSymbol, level: int, n_max: int = 40) -> GIBoundRepo
 
 @dataclass(frozen=True)
 class FHResult:
+    n: int
+    t: float
+    h: float
     analytic: float
     finite_diff: float
     gap: float
     ratio: float  # gap(h)/gap(h/2); ≈ 4 when the h² term dominates
-    h: float
 
 
 def _log_norm_sq_at(s: LaurentSymbol, t: float, n: int) -> float:
@@ -514,7 +518,18 @@ def feynman_hellman_check(
     gap = abs(fd - analytic)
     gap_half = abs(central(0.5 * h) - analytic)
     ratio = math.inf if gap_half == 0.0 else gap / gap_half
-    return FHResult(analytic=analytic, finite_diff=fd, gap=gap, ratio=ratio, h=h)
+    return FHResult(n=n, t=t, h=h, analytic=analytic, finite_diff=fd, gap=gap, ratio=ratio)
+
+
+def fh_checks(
+    s: LaurentSymbol, n: int, t: float, h: float
+) -> tuple[str, list[tuple[str, bool, str]]]:
+    """fh-check's (JSON body, checks): the identity holds when the gap at h is machine
+    noise, or when halving h divides it by about 4 (the central difference's h² term)."""
+    result = feynman_hellman_check(s, n, t=t, h=h)
+    noise_floor = 1e-10 * max(1.0, abs(result.analytic))
+    ok = result.gap <= noise_floor or 3.0 <= result.ratio <= 5.0
+    return json_text(asdict(result)), [("feynman-hellman", ok, "")]
 
 
 @dataclass(frozen=True)

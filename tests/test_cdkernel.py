@@ -5,6 +5,7 @@ import pytest
 
 from szego_lab import (
     InvariantViolation,
+    cli,
     kernel_cd,
     kernel_diag_boundary,
     kernel_sum,
@@ -13,7 +14,9 @@ from szego_lab import (
     normalization_check,
     trajectory,
 )
+from szego_lab.cdkernel import identity_checks
 from szego_lab.opuc import orthonormal, orthonormal_star
+from szego_lab.symbol import LaurentSymbol
 
 from conftest import geometric_moments
 
@@ -193,3 +196,32 @@ class TestReproducingProperty:
                 integral = np.mean(kernel_vals * p_bdry * w)
                 expected = np.polynomial.polynomial.polyval(z, coeffs)
                 assert abs(integral - expected) <= 1e-9 * max(1.0, abs(expected))
+
+
+#: l_1 = 0.3 + 0.2i, l_2 = 0.1 - 0.05i, as `--coeff 1=0.3,0.2 --coeff 2=0.1,-0.05`
+COMPLEX = LaurentSymbol((0j, 0.3 + 0.2j, 0.1 - 0.05j))
+
+
+class TestIdentityChecks:
+    """cd-check's rows, called without the CLI."""
+
+    def test_every_row_passes_on_the_suite_and_a_complex_symbol(self, suite):
+        for name, s in [*suite.items(), ("complex", COMPLEX)]:
+            body, checks = identity_checks(trajectory(moments(s, 10), 9), s, 8, seed=0)
+            assert body == ""
+            names = [row[0] for row in checks]
+            assert names == ["closed-forms", "diagonal-boundary", "normalization"], name
+            assert all(ok for _, ok, _ in checks), (name, checks)
+
+    def test_cd_check_prints_exactly_these_rows(self, tmp_path):
+        out = tmp_path / "cd.txt"
+        argv = ["cd-check", "--coeff", "1=0.3,0.2", "--coeff", "2=0.1,-0.05", "--nmax", "8"]
+        assert cli.main(argv + ["--seed", "3", "--out", str(out)]) == 0
+        _, checks = identity_checks(trajectory(moments(COMPLEX, 10), 9), COMPLEX, 8, seed=3)
+        expected = "".join(f"# check {name} PASS ({detail})\n" for name, _, detail in checks)
+        assert out.read_text() == expected
+
+    def test_the_seed_picks_the_sample_pairs(self, cos_states, cos_symbol):
+        first = identity_checks(cos_states, cos_symbol, 8, seed=1)
+        assert identity_checks(cos_states, cos_symbol, 8, seed=1) == first
+        assert identity_checks(cos_states, cos_symbol, 8, seed=2)[1][0] != first[1][0]

@@ -253,7 +253,7 @@ class TestVerify:
         assert text.count("FAIL") == 1
         code, text = run_cli(["verify", "--coeff", "1=0.5", "--nmax", "10"], tmp_path, "s.txt")
         assert code == 1
-        assert text == "# check invariant FAIL (G_n is not nondecreasing)\n"
+        assert text == "# check g-monotone-bounded FAIL (G_n is not nondecreasing)\n"
 
     def test_malformed_moments_file_exits_2(self, tmp_path):
         bad = tmp_path / "m.csv"

@@ -21,7 +21,7 @@ from szego_lab import (
 from szego_lab.symbol import MomentSequence
 from szego_lab.verify import routes_agree
 
-from conftest import bessel_i, geometric_moments
+from conftest import bessel_i, geometric_moments, same_bits
 
 
 class TestAssemble:
@@ -160,6 +160,25 @@ class TestLedger:
                 if mags[n] < 1e-13:
                     assert inc_sq < 1e-12 and inc_weighted < 1e-12
                     assert f_inc < 1e-12 and g_inc < 1e-12
+
+    def test_arrays_keep_the_bits_of_separate_sums(self, suite):
+        # log D_n, the ratio and G_n as each was summed on its own before the
+        # prefix sums over log(1-|α_j|²) had one home
+        for name, s in suite.items():
+            state = run_to(moments(s, 402), 401)
+            alphas = np.asarray(state.alphas, dtype=complex)
+            log_c0 = float(np.log(state.c0))
+            for n_max in (0, 1, 40, 400):
+                r = np.log1p(-np.abs(alphas) ** 2)
+                degrees = np.arange(n_max + 1)
+                excess = np.concatenate(([0.0], np.cumsum(r[:n_max])))
+                head = np.cumsum((np.arange(r.size) + 1) * r)[: n_max + 1]
+                tail = np.append(np.cumsum(r[::-1])[::-1], 0.0)[1 : n_max + 2]
+                log_dn, ratio, g_n = ledger(state, n_max)
+                assert same_bits(log_dn, (degrees + 1) * log_c0 + np.cumsum(excess)), name
+                ratio_sums = np.cumsum(np.log1p(-np.abs(alphas[: n_max + 1]) ** 2))
+                assert same_bits(ratio, np.exp(log_c0 + ratio_sums)), name
+                assert same_bits(g_n, np.exp(-(head + (degrees + 1) * tail))), name
 
     def test_needs_enough_alphas(self, cos_symbol):
         m = moments(cos_symbol, 6)

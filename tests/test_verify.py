@@ -1,5 +1,6 @@
 """End-to-end verification suites: limit report, approximants, derivative identities."""
 
+import json
 import math
 
 import numpy as np
@@ -136,7 +137,7 @@ class TestStrongSzegoReport:
         )
         report, checks = verify.symbol_checks(cos_symbol, 5)
         assert report is None
-        assert len(checks) == 1 and checks[0][:2] == ("invariant", False)
+        assert len(checks) == 1 and checks[0][:2] == ("route-agreement", False)
 
     def test_csv_and_json_forms(self, cos_symbol):
         rep = strong_szego_report(cos_symbol, 4)
@@ -391,3 +392,38 @@ class TestIntegratedIdentity:
 
         reference = pointwise_mean(two_band_symbol, t, radial, start=8 * (n + 4))
         assert verify._radial_term(two_band_symbol, t, n) == pytest.approx(reference, abs=1e-13)
+
+
+#: l_1 = 0.3 + 0.2i, l_2 = 0.1 - 0.05i, as `--coeff 1=0.3,0.2 --coeff 2=0.1,-0.05`
+COMPLEX = LaurentSymbol((0j, 0.3 + 0.2j, 0.1 - 0.05j))
+
+
+class TestCheckRows:
+    """bs-check's and fh-check's (body, checks), called without the CLI."""
+
+    def test_bs_checks_pass_on_the_suite_and_a_complex_symbol(self, suite):
+        for name, s in [*suite.items(), ("complex", COMPLEX)]:
+            body, checks = verify.bs_checks(s, 5)
+            assert list(json.loads(body)) == [
+                "level", "mass", "moment_deviation", "alpha_head_deviation",
+                "alpha_tail_deviation", "grid_m",
+            ], name
+            assert checks == [("bs-approximation", True, "")], name
+
+    def test_bs_checks_fail_row_carries_the_approximant_message(self):
+        # at l_1 = 7 and N = 12 the approximant's α's below the level are off by ~1e-6
+        body, checks = verify.bs_checks(make_symbol({1: 7.0, -1: 7.0}), 12)
+        assert body == ""
+        [(name, ok, detail)] = checks
+        assert (name, ok) == ("bs-approximation", False)
+        prefix = "approximant alphas below level deviate by "
+        assert detail.startswith(prefix)
+        assert float(detail[len(prefix):]) > verify.BS_APPROX_TOL
+
+    def test_fh_checks_pass_on_the_suite_and_a_complex_symbol(self, suite):
+        for name, s in [*suite.items(), ("complex", COMPLEX)]:
+            body, checks = verify.fh_checks(s, 3, 0.5, 1e-3)
+            payload = json.loads(body)
+            assert list(payload) == ["n", "t", "h", "analytic", "finite_diff", "gap", "ratio"]
+            assert (payload["n"], payload["t"], payload["h"]) == (3, 0.5, 1e-3)
+            assert checks == [("feynman-hellman", True, "")], name
