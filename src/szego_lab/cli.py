@@ -4,7 +4,9 @@ Subcommands: moments, verify, coulomb, cd-check, bs-check, fh-check.
 Each one parses its flags, picks its input and prints.  What a check command
 prints comes, with every rule and tolerance behind it, as `(body, [(name, ok,
 detail), …])` from one library call: :func:`szego_lab.cdkernel.identity_checks`
-for ``cd-check``, :mod:`szego_lab.verify` for ``verify``, ``bs-check``, ``fh-check``.
+for ``cd-check``, :mod:`szego_lab.verify` for ``verify``, ``bs-check``, ``fh-check``,
+and one rule, :func:`_verdict`, turns the checks into the exit code.  CSV goes
+through :func:`szego_lab.textio.csv_text` and JSON through ``json_text``.
 Exit codes: 0 success, 1 invariant failure, 2 input parse or an unusable
 path, 3 quadrature, 4 out-of-range or out of memory.  Identical
 configurations produce byte-identical output: every random stream is seeded
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import sys
+from dataclasses import asdict
 
 # a subcommand imports the modules that it alone runs inside its cmd_*, so
 # each command loads only what it needs
@@ -33,7 +36,7 @@ from .symbol import (
     moments,
     stored_symbol,
 )
-from .textio import CSV_SCHEMA, fmt, json_text, records
+from .textio import csv_text, json_text, records
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -72,15 +75,20 @@ def _write_output(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _verdict(checks: list[tuple[str, bool, str]]) -> int:
+    """Exit 0 only if every check passed."""
+    return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_INVARIANT
+
+
 def _write_checks(args, body: str, checks: list[tuple[str, bool, str]]) -> int:
     """Write ``body``, then one `# check NAME PASS|FAIL (detail)` line per check
-    (no parenthesis for an empty detail); exit 0 only if every check passed."""
+    (no parenthesis for an empty detail), and return the :func:`_verdict`."""
     lines = [
         f"# check {name} {'PASS' if ok else 'FAIL'}" + (f" ({detail})" if detail else "")
         for name, ok, detail in checks
     ]
     _write_output(args, body + "\n".join(lines) + "\n")
-    return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_INVARIANT
+    return _verdict(checks)
 
 
 def load_moments_csv(path) -> MomentSequence:
@@ -116,9 +124,8 @@ def cmd_moments(args) -> int:
         }
         _write_output(args, json_text(payload))
     else:
-        lines = [CSV_SCHEMA, f"# grid_m={m.quadrature_points}", "n,re,im"]
-        lines += [f"{k},{fmt(v.real)},{fmt(v.imag)}" for k, v in enumerate(values)]
-        _write_output(args, "\n".join(lines) + "\n")
+        rows = ((k, v.real, v.imag) for k, v in enumerate(values))
+        _write_output(args, csv_text({"grid_m": m.quadrature_points}, "n,re,im", rows))
     return EXIT_OK
 
 
@@ -132,16 +139,14 @@ def cmd_verify(args) -> int:
     if args.format == "csv":
         return _write_checks(args, "" if report is None else report.to_csv(), checks)
     payload = {
-        "report": None if report is None else report.to_json_dict(),
+        "report": None if report is None else asdict(report),
         "checks": [{"name": name, "ok": ok, "detail": detail} for name, ok, detail in checks],
     }
     _write_output(args, json_text(payload))
-    return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_INVARIANT
+    return _verdict(checks)
 
 
 def cmd_coulomb(args) -> int:
-    from dataclasses import asdict
-
     from . import coulomb
 
     s = _symbol_from_args(args)

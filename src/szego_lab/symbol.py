@@ -36,7 +36,7 @@ class LaurentSymbol:
 
     Only k ≥ 0 is stored, as ``coeffs[k] = l_k``; the negative-index
     coefficients are implied by the Hermitian symmetry l_{-k} = conj(l_k).
-    ``coeffs[0]`` is real.
+    Every coefficient is finite and ``coeffs[0]`` is real.
     """
 
     coeffs: tuple[complex, ...]
@@ -44,6 +44,9 @@ class LaurentSymbol:
     def __post_init__(self):
         if not self.coeffs:
             object.__setattr__(self, "coeffs", (0.0 + 0.0j,))
+        for k, value in enumerate(self.coeffs):
+            if not cmath.isfinite(value):
+                raise ValueError(f"coefficient {k} is not finite: {value}")
         if abs(complex(self.coeffs[0]).imag) > IMAG_RESIDUE_TOL:
             raise ConjugateSymmetryError(
                 f"constant coefficient must be real, got {self.coeffs[0]}"

@@ -1,10 +1,11 @@
-"""Deterministic text serialization: fixed float formatting, stable JSON.
+"""Deterministic text serialization: fixed float formatting, stable JSON, one CSV writer.
 
 All floats are printed with 17 significant digits so that identical inputs
 produce byte-identical reports and every value round-trips exactly.  JSON
 writes a non-finite float as ``Infinity``, ``-Infinity`` or ``NaN``, as :mod:`json` does.
-:func:`records` is the one reader of the `k re im` line formats: symbol files
-and moments CSVs.
+:func:`csv_text` is the one writer of the CSV reports (moments and the limit
+report), and :func:`records` the one reader of the `k re im` line formats:
+symbol files and moments CSVs.
 """
 
 from __future__ import annotations
@@ -56,6 +57,14 @@ def _json_token(value, indent: int) -> str:
 def json_text(obj) -> str:
     """JSON with deterministic layout and 17-digit floats."""
     return _json_token(obj, 0) + "\n"
+
+
+def csv_text(meta: dict, header: str, rows) -> str:
+    """``CSV_SCHEMA``, one `# key=value` line per ``meta`` item, ``header``, then one
+    line per row of ``rows``: an int prints as it is and any other value through :func:`fmt`."""
+    lines = [CSV_SCHEMA, *(f"# {key}={value}" for key, value in meta.items()), header]
+    lines += [",".join(str(v) if isinstance(v, int) else fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def records(data: bytes, sep: str | None, shape_error: str, skip=("#",)):

@@ -6,14 +6,16 @@ the Bernstein–Szegő approximation identities, the monotone G-functional
 bounds for truncated log-weights, and the derivative identities for the
 one-parameter family w_t = exp(tL - c_t).  The checks that ``szego-lab verify``,
 ``bs-check`` and ``fh-check`` print live here with their tolerances
-(:func:`symbol_checks`, :func:`moment_checks`, :func:`bs_checks`, :func:`fh_checks`),
-and one rule, :func:`g_problem`, judges every G_n sequence.
+(:func:`symbol_checks`, :func:`moment_checks`, :func:`bs_checks`, :func:`fh_checks`).
+One rule judges every G_n sequence (:func:`g_problem`) and one every pair of
+determinant routes (:func:`route_gaps`).  The limit report writes its CSV through
+:func:`szego_lab.textio.csv_text`, and its JSON form is ``asdict`` of it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .symbol import (
     moments_from_function,
     target_sum,
 )
-from .textio import CSV_SCHEMA, fmt, json_text
+from .textio import csv_text, fmt, json_text
 
 ROUTE_AGREEMENT_TOL = 1e-10
 G_BOUND_TOL = 1e-8
@@ -125,38 +127,20 @@ class ReportRow:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
+    """The limit report; its fields are in the order of its JSON form, ``asdict``."""
+
     symbol_id: str
     route: str
     mean_coeff: float
     target: float
-    rows: tuple[ReportRow, ...]
     error_slope: float | None
-    meta: dict = field(default_factory=dict)
+    meta: dict
+    rows: tuple[ReportRow, ...]
 
     def to_csv(self) -> str:
-        lines = [CSV_SCHEMA]
-        for key, value in self.meta.items():
-            lines.append(f"# {key}={value}")
-        lines.append(f"# route={self.route}")
-        lines.append(f"# target={fmt(self.target)}")
-        lines.append("n,log_dn,excess,target,abs_err,g_n")
-        for r in self.rows:
-            lines.append(
-                f"{r.n},{fmt(r.log_dn)},{fmt(r.excess)},{fmt(r.target)},"
-                f"{fmt(r.abs_err)},{fmt(r.g_n)}"
-            )
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "symbol_id": self.symbol_id,
-            "route": self.route,
-            "mean_coeff": self.mean_coeff,
-            "target": self.target,
-            "error_slope": self.error_slope,
-            "meta": dict(self.meta),
-            "rows": [asdict(r) for r in self.rows],
-        }
+        meta = {**self.meta, "route": self.route, "target": fmt(self.target)}
+        header = ",".join(f.name for f in fields(ReportRow))
+        return csv_text(meta, header, map(astuple, self.rows))
 
 
 #: below this absolute gap two log-determinants are numerically identical;
@@ -164,19 +148,20 @@ class ConvergenceReport:
 ROUTE_AGREEMENT_FLOOR = 1e-13
 
 
+def route_gaps(a, b) -> np.ndarray:
+    """|a - b| / max(|a|, |b|) elementwise: 0 within ``ROUTE_AGREEMENT_FLOOR``, and
+    nan unless both values are finite, so that a nan or an infinity agrees with nothing."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    # inf - inf, inf / inf and 0 / 0 give nan; a finite difference past the float range, inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        gap = np.abs(a - b)
+        relative = gap / np.maximum(np.abs(a), np.abs(b))
+    return np.where(gap <= ROUTE_AGREEMENT_FLOOR, 0.0, relative)
+
+
 def routes_agree(a: float, b: float) -> bool:
-    """Whether two values of one log-determinant agree to ``ROUTE_AGREEMENT_TOL``;
-    a nan or an infinity agrees with nothing."""
-    return _relative_gap(a, b) <= ROUTE_AGREEMENT_TOL
-
-
-def _relative_gap(a: float, b: float) -> float:
-    """|a - b| / max(|a|, |b|), 0 within the absolute floor, nan unless both are finite."""
-    gap = abs(a - b)
-    if gap <= ROUTE_AGREEMENT_FLOOR:
-        return 0.0
-    scale = max(abs(a), abs(b))
-    return gap / scale if scale > 0.0 else math.nan
+    """Whether two values of one log-determinant agree to ``ROUTE_AGREEMENT_TOL``."""
+    return bool(route_gaps(a, b) <= ROUTE_AGREEMENT_TOL)
 
 
 def error_slope_fit(rows) -> float | None:
@@ -223,26 +208,19 @@ def strong_szego_report(
         raise ValueError("n_max must be nonnegative")
     mean_coeff, target = target_sum(s)
     m, _, log_products, log_g = _g_pass(s, n_max)
-    log_direct = toeplitz.log_det_minors(m, n_max).tolist()
-    rows = []
-    for n, log_product in enumerate(log_products.tolist()):
-        if not routes_agree(log_direct[n], log_product):
-            raise InvariantViolation(
-                f"determinant routes disagree at n={n}: "
-                f"direct {log_direct[n]!r} vs product {log_product!r}",
-                check="route-agreement",
-            )
-        excess = log_product - (n + 1) * mean_coeff
-        rows.append(
-            ReportRow(
-                n=n,
-                log_dn=log_product,
-                excess=excess,
-                target=target,
-                abs_err=abs(excess - target),
-                g_n=float(np.exp(log_g[n])),
-            )
+    log_direct = toeplitz.log_det_minors(m, n_max)
+    bad = np.flatnonzero(~(route_gaps(log_direct, log_products) <= ROUTE_AGREEMENT_TOL))
+    if bad.size:
+        n = bad[0]
+        raise InvariantViolation(
+            f"determinant routes disagree at n={n}: "
+            f"direct {log_direct[n].tolist()!r} vs product {log_products[n].tolist()!r}",
+            check="route-agreement",
         )
+    excess = log_products - np.arange(1, n_max + 2) * mean_coeff
+    abs_err = np.abs(excess - target)
+    columns = (log_products, excess, np.full_like(excess, target), abs_err, np.exp(log_g))
+    rows = tuple(ReportRow(n, *row) for n, row in enumerate(zip(*(c.tolist() for c in columns))))
     problem = g_problem(log_g, target)
     if problem:
         raise InvariantViolation(f"G_n {problem}", check="g-monotone-bounded")
@@ -251,7 +229,6 @@ def strong_szego_report(
         route="product",
         mean_coeff=mean_coeff,
         target=target,
-        rows=tuple(rows),
         error_slope=error_slope_fit(rows),
         meta={
             "symbol": format_symbol(s).replace("\n", ";"),
@@ -260,6 +237,7 @@ def strong_szego_report(
             "route_agreement_tol": fmt(ROUTE_AGREEMENT_TOL),
             "g_bound_tol": fmt(G_BOUND_TOL),
         },
+        rows=rows,
     )
 
 
@@ -304,8 +282,7 @@ def moment_checks(m: MomentSequence, n_max: int) -> list[tuple[str, bool, str]]:
     log_c0 = float(np.log(m.c0))
     alphas = np.asarray(traj.alphas)
     log_product, log_g = toeplitz.log_dn_and_g(alphas, n_top, log_c0)
-    gaps = [_relative_gap(d, p) for d, p in zip(log_direct.tolist(), log_product.tolist())]
-    worst = float(np.max(gaps))  # propagates a nan gap (a non-finite route); max() drops it
+    worst = float(np.max(route_gaps(log_direct[: n_top + 1], log_product)))  # nan propagates
     # log(D_{n+1}/D_n) from the α's, independent of norm-monotone's norm_sq
     log_ratios = log_c0 + toeplitz.log_rho_sums(alphas, n_top)[1]
     ratios_ok = bool(np.all(np.diff(log_ratios) <= MONOTONE_SLACK))

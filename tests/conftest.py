@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from szego_lab import MomentSequence, make_symbol
-from szego_lab.verify import bs_log_weight, default_suite
+from szego_lab.verify import ROUTE_AGREEMENT_FLOOR, bs_log_weight, default_suite
 
 
 def bessel_i(n: int, x: float = 1.0) -> float:
@@ -81,6 +81,23 @@ def polyval_log_weight_z(s, z):
     )
     partial = np.polynomial.polynomial.polyval(z, positive)
     return s.mean + partial.real + partial.real
+
+
+def relative_gap_reference(a: float, b: float) -> float:
+    """The scalar route-agreement gap that ``verify.route_gaps`` vectorizes:
+    |a - b| / max(|a|, |b|), 0 within the floor, nan unless both are finite."""
+    gap = abs(a - b)
+    if gap <= ROUTE_AGREEMENT_FLOOR:
+        return 0.0
+    scale = max(abs(a), abs(b))
+    return gap / scale if scale > 0.0 else math.nan
+
+
+def same_gaps(a, b) -> bool:
+    """Equal bits, with any nan equal to any nan: the sign of a nan gap is not a result."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and same_bits(a[~nan], b[~nan])
 
 
 def same_bits(a, b) -> bool:

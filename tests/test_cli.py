@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from szego_lab import cli, opuc, toeplitz
-from szego_lab.textio import json_text
+from szego_lab import cli, moments, opuc, toeplitz
+from szego_lab.textio import fmt, json_text
 
 from conftest import bessel_i
 
@@ -41,6 +41,18 @@ class TestMoments:
         assert lines[1].startswith("# grid_m=")
         assert lines[2] == "n,re,im"
         assert len(lines) == 8
+
+    @pytest.mark.parametrize(
+        "coeffs", [["1=0.5"], ["0=0.3", "1=0.3,0.2", "2=0.1,-0.05"], ["1=5"]]
+    )
+    def test_csv_has_the_bytes_of_the_hand_written_lines(self, tmp_path, coeffs):
+        argv = ["moments", *(f"--coeff={c}" for c in coeffs), "--nmax", "12"]
+        code, text = run_cli(argv, tmp_path)
+        assert code == 0
+        m = moments(cli._symbol_from_args(cli.build_parser().parse_args(argv)), 12)
+        lines = ["# schema=1", f"# grid_m={m.quadrature_points}", "n,re,im"]
+        lines += [f"{k},{fmt(v.real)},{fmt(v.imag)}" for k, v in enumerate(m.values.tolist())]
+        assert text == "\n".join(lines) + "\n"
 
     def test_empty_symbol_single_row(self, tmp_path):
         code, text = run_cli(["moments", "--nmax", "0"], tmp_path)

@@ -19,7 +19,7 @@ from szego_lab import strong_szego_report, trajectory, verify
 from szego_lab.coulomb import MC_MIN_SAMPLES
 from szego_lab.symbol import MomentSequence, eval_log_weight_z, hermitian_strip
 
-from conftest import same_bits
+from conftest import relative_gap_reference, same_bits, same_gaps
 
 PROPERTY_SETTINGS = settings(
     max_examples=25, deadline=None, derandomize=True, database=None
@@ -194,3 +194,20 @@ def test_hermitian_strip_puts_x_k_at_n_plus_k_and_its_conjugate_at_n_minus_k(x):
     assert strip.shape == (2 * n + 1,)
     assert same_bits(strip[n:].view(float), x.view(float))
     assert same_bits(strip[:n][::-1].copy().view(float), np.conj(x[1:]).view(float))
+
+
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+#: a value and a second one near it, where the agreement floor and tolerance bite
+near_pair = st.tuples(st.floats(-1e3, 1e3), st.floats(-1e-9, 1e-9)).map(
+    lambda pair: (pair[0], pair[0] + pair[1])
+)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=400)
+@given(pairs=st.lists(st.one_of(st.tuples(any_float, any_float), near_pair), min_size=1))
+def test_route_gaps_are_the_scalar_rule_value_by_value(pairs):
+    a, b = (np.array(col) for col in zip(*pairs))
+    expected = [relative_gap_reference(x, y) for x, y in pairs]
+    assert same_gaps(verify.route_gaps(a, b), expected)
+    agree = [gap <= verify.ROUTE_AGREEMENT_TOL for gap in expected]
+    assert [verify.routes_agree(x, y) for x, y in pairs] == agree

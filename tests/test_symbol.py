@@ -26,7 +26,7 @@ from szego_lab.symbol import (
     moments_from_function,
     parse_symbol,
 )
-from szego_lab.verify import bs_log_weight
+from szego_lab.verify import bs_log_weight, scaled_symbol
 
 from conftest import bessel_i, polyval_log_weight_z, same_bits
 
@@ -62,6 +62,22 @@ class TestMakeSymbol:
     def test_rejects_complex_constant(self):
         with pytest.raises(ConjugateSymmetryError):
             make_symbol({0: 0.1 + 0.2j})
+
+    @pytest.mark.parametrize(
+        "build, k",
+        [
+            (lambda: make_symbol({1: math.nan, -1: math.nan}), 1),
+            (lambda: make_symbol({1: math.inf}), 1),  # once stored as inf+nanj
+            (lambda: make_symbol({2: complex(math.nan, 0.0)}), 2),
+            (lambda: make_symbol({0: complex(math.nan, 0.0)}), 0),
+            (lambda: LaurentSymbol((0.0, 0.5, complex(-math.inf, 0.0))), 2),
+            (lambda: scaled_symbol(make_symbol({1: 0.5, -1: 0.5}), math.inf), 0),
+        ],
+        ids=["nan", "inf", "nan+0j", "nan+0j constant", "direct", "scaled"],
+    )
+    def test_rejects_a_non_finite_coefficient_naming_k(self, build, k):
+        with pytest.raises(ValueError, match=f"^coefficient {k} is not finite"):
+            build()
 
 
 class TestEvaluation:

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
@@ -18,12 +19,14 @@ from szego_lab import (
     moments,
     run_to,
     strong_szego_report,
+    target_sum,
 )
 from szego_lab import cdkernel, opuc, quadrature, toeplitz, verify
 from szego_lab.symbol import LaurentSymbol, MomentSequence, eval_log_weight, eval_weight
+from szego_lab.textio import fmt, json_text
 from szego_lab.verify import default_suite, family_moments, scaled_symbol
 
-from conftest import bessel_i, geometric_moments
+from conftest import bessel_i, geometric_moments, relative_gap_reference, same_bits, same_gaps
 
 
 class TestSuiteSymbols:
@@ -94,7 +97,7 @@ class TestStrongSzegoReport:
     def test_route_gap_rejects_every_nonfinite_value(self):
         inf, nan = math.inf, math.nan
         for a, b in [(0.0, nan), (nan, 1.0), (inf, 1.0), (1.0, -inf), (inf, inf), (-inf, inf)]:
-            assert math.isnan(verify._relative_gap(a, b)), (a, b)
+            assert math.isnan(verify.route_gaps(a, b)), (a, b)
             assert not verify.routes_agree(a, b), (a, b)
         assert verify.routes_agree(0.0, 1e-14) and verify.routes_agree(1.0, 1.0 + 1e-11)
         assert not verify.routes_agree(1.0, 1.0 + 1e-9)
@@ -144,9 +147,128 @@ class TestStrongSzegoReport:
         text = rep.to_csv()
         assert text.startswith("# schema=1")
         assert "n,log_dn,excess,target,abs_err,g_n" in text
-        parsed = rep.to_json_dict()
+        parsed = asdict(rep)
+        assert list(parsed) == [
+            "symbol_id", "route", "mean_coeff", "target", "error_slope", "meta", "rows"
+        ]
         assert parsed["target"] == 0.25
         assert len(parsed["rows"]) == 5
+
+
+# Reference forms of the limit report: the scalar route rule in a per-degree loop, a
+# hand-written CSV and a hand-listed JSON dict.  The report must give their bits and bytes.
+
+
+def loop_report_rows(s, n_max):
+    """The report's rows, one degree at a time, raising as the report does."""
+    mean_coeff, target = target_sum(s)
+    m, _, log_products, log_g = verify._g_pass(s, n_max)
+    log_direct = toeplitz.log_det_minors(m, n_max).tolist()
+    rows = []
+    for n, log_product in enumerate(log_products.tolist()):
+        if not relative_gap_reference(log_direct[n], log_product) <= verify.ROUTE_AGREEMENT_TOL:
+            raise InvariantViolation(
+                f"determinant routes disagree at n={n}: "
+                f"direct {log_direct[n]!r} vs product {log_product!r}",
+                check="route-agreement",
+            )
+        excess = log_product - (n + 1) * mean_coeff
+        rows.append(
+            verify.ReportRow(
+                n=n,
+                log_dn=log_product,
+                excess=excess,
+                target=target,
+                abs_err=abs(excess - target),
+                g_n=float(np.exp(log_g[n])),
+            )
+        )
+    return tuple(rows)
+
+
+def hand_written_csv(rep) -> str:
+    lines = ["# schema=1"]
+    for key, value in rep.meta.items():
+        lines.append(f"# {key}={value}")
+    lines.append(f"# route={rep.route}")
+    lines.append(f"# target={fmt(rep.target)}")
+    lines.append("n,log_dn,excess,target,abs_err,g_n")
+    for r in rep.rows:
+        lines.append(
+            f"{r.n},{fmt(r.log_dn)},{fmt(r.excess)},{fmt(r.target)},"
+            f"{fmt(r.abs_err)},{fmt(r.g_n)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def hand_listed_json_dict(rep) -> dict:
+    return {
+        "symbol_id": rep.symbol_id,
+        "route": rep.route,
+        "mean_coeff": rep.mean_coeff,
+        "target": rep.target,
+        "error_slope": rep.error_slope,
+        "meta": dict(rep.meta),
+        "rows": [asdict(r) for r in rep.rows],
+    }
+
+
+COMPLEX_SYMBOL = make_symbol(
+    {0: 0.3, 1: 0.3 + 0.2j, -1: 0.3 - 0.2j, 2: 0.1 - 0.05j, -2: 0.1 + 0.05j}
+)
+
+
+class TestReportAgainstItsLoopForm:
+    @pytest.fixture(scope="class")
+    def reports(self, suite):
+        """(name, symbol, report) for the five suite weights at N = 400 and a complex symbol."""
+        cases = [(name, s, 400) for name, s in suite.items()]
+        cases.append(("complex", COMPLEX_SYMBOL, 200))
+        return [(name, s, strong_szego_report(s, n)) for name, s, n in cases]
+
+    def test_rows_have_the_bits_of_the_per_degree_loop(self, reports):
+        for name, s, rep in reports:
+            loop = loop_report_rows(s, rep.meta["n_max"])
+            assert rep.rows == loop, name
+            assert same_bits([astuple(r) for r in rep.rows], [astuple(r) for r in loop]), name
+
+    def test_csv_and_json_have_the_bytes_of_the_hand_written_forms(self, reports):
+        for name, _, rep in reports:
+            assert rep.to_csv() == hand_written_csv(rep), name
+            assert json_text(asdict(rep)) == json_text(hand_listed_json_dict(rep)), name
+
+    def test_route_failure_has_the_text_of_the_per_degree_loop(self):
+        s = make_symbol({1: 5.0, -1: 5.0})
+        with pytest.raises(InvariantViolation, match="routes disagree") as loop:
+            loop_report_rows(s, 40)
+        with pytest.raises(InvariantViolation) as report:
+            strong_szego_report(s, 40)
+        assert str(report.value) == str(loop.value)
+        assert report.value.check == loop.value.check == "route-agreement"
+
+    def test_moment_checks_worst_gap_is_the_scalar_rules_maximum(self, suite):
+        for name, s in suite.items():
+            m = moments(s, 41)
+            log_direct = toeplitz.log_det_minors(m, 40).tolist()
+            log_product, _ = toeplitz.log_dn_and_g(run_to(m, 41).alphas, 40, math.log(m.c0))
+            worst = max(map(relative_gap_reference, log_direct, log_product.tolist()))
+            detail = {n: d for n, _, d in verify.moment_checks(m, 40)}["route-agreement"]
+            assert detail == f"worst relative gap {fmt(worst)}", name
+
+    def test_route_gaps_match_the_scalar_rule_at_the_edges(self):
+        floor, tiny = verify.ROUTE_AGREEMENT_FLOOR, 5e-324
+        values = [0.0, -0.0, 1.0, -1.0, floor, math.nextafter(floor, 1.0), tiny, 1e308, -1e308]
+        values += [math.nan, math.inf, -math.inf]
+        pairs = [(a, b) for a in values for b in values]
+        pairs += [(1.0, 1.0 + floor), (1.0, math.nextafter(1.0 + floor, 2.0)), (0.0, 1e-14)]
+        a, b = (np.array(col) for col in zip(*pairs))
+        expected = [relative_gap_reference(x, y) for x, y in pairs]
+        assert same_gaps(verify.route_gaps(a, b), expected)
+        for x, y in pairs:
+            assert same_gaps(verify.route_gaps(x, y), relative_gap_reference(x, y)), (x, y)
+            assert verify.routes_agree(x, y) == (
+                relative_gap_reference(x, y) <= verify.ROUTE_AGREEMENT_TOL
+            ), (x, y)
 
 
 class TestEquivalenceAtTruncation:
