@@ -101,8 +101,9 @@ def _walk(m: MomentSequence, n: int):
                 "definite or accuracy exhausted"
             )
         star = np.conj(buf[n : n - k - 1 : -1], out=scratch[: k + 1])
-        buf[n - k - 1 : n] -= np.multiply(alpha_bar, star, out=star)
-        if abs(alpha - (-np.conj(buf[n - k - 1]))) > ALPHA_CROSSCHECK_TOL:
+        target = buf[n - k - 1 : n]  # `-=` on the slice would copy it back onto itself
+        np.subtract(target, np.multiply(alpha_bar, star, out=star), out=target)
+        if abs(alpha - (-buf.item(n - k - 1).conjugate())) > ALPHA_CROSSCHECK_TOL:
             raise RecursionConsistencyError(
                 f"alpha_{k} disagrees with -conj(Phi_{k + 1}(0)) beyond {ALPHA_CROSSCHECK_TOL:g}"
             )

@@ -85,7 +85,7 @@ def make_symbol(coeffs: Mapping[int, complex]) -> LaurentSymbol:
     for k in range(bandwidth + 1):
         plus = full.get(k, 0.0 + 0.0j)
         minus = full.get(-k, 0.0 + 0.0j)
-        sym = 0.5 * (plus + minus.conjugate())
+        sym = 0.5 * plus + 0.5 * minus.conjugate()  # halved first: the sum cannot overflow
         for provided, symmetrized in ((k, sym), (-k, sym.conjugate())):
             if provided in full and abs(full[provided] - symmetrized) > SYMMETRY_TOL:
                 raise ConjugateSymmetryError(

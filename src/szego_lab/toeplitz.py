@@ -1,9 +1,11 @@
 """Direct Toeplitz linear algebra and the determinant functionals F and G.
 
 Two independent determinant routes live here.  The direct route factors the
-assembled Hermitian Toeplitz matrix once: the Cholesky factor of each leading
-block is the same leading block of the full factor, so every leading minor
-log D_n = 2 Σ_{i≤n} log L_ii comes from one O(N³) factorization.  The product
+Hermitian Toeplitz matrix once: the Cholesky factor of each leading block is
+the same leading block of the full factor, so every leading minor
+log D_n = 2 Σ_{i≤n} log L_ii comes from one O(N³) factorization.  The matrix
+has one builder, :func:`_toeplitz_view`, a strided view of the 2N+1 entries
+c_{-N}..c_N: the factor reads the view, and :func:`assemble` copies it.  The product
 route accumulates D_n = Π_{j≤n} ‖Φ_j‖² from c_0 and the Verblunsky
 coefficients alone, with prefix sums over log(1-|α_j|²) in O(N) time.  The
 ledger is three arrays over n: log D_n, the ratio D_{n+1}/D_n, which is the
@@ -22,14 +24,19 @@ from .opuc import RecursionState
 from .symbol import MomentSequence, hermitian_strip
 
 
-def assemble(m: MomentSequence, n: int) -> np.ndarray:
-    """(n+1)×(n+1) Toeplitz matrix with entry (i, j) = c_{j-i}."""
+def _toeplitz_view(m: MomentSequence, n: int) -> np.ndarray:
+    """Read-only (n+1)×(n+1) view with entry (i, j) = c_{j-i}, over one strip c_{-n}..c_n."""
     if n < 0:
         raise ValueError(f"matrix order must be nonnegative, got {n}")
     if m.order < n:
         raise ValueError(f"moments up to order {n} required, have {m.order}")
     strip = hermitian_strip(m.values[: n + 1])  # c_{-n}..c_n: window i is row n-i
-    return sliding_window_view(strip, n + 1)[::-1].copy()
+    return sliding_window_view(strip, n + 1)[::-1]
+
+
+def assemble(m: MomentSequence, n: int) -> np.ndarray:
+    """(n+1)×(n+1) Toeplitz matrix with entry (i, j) = c_{j-i}, as a C-contiguous copy."""
+    return _toeplitz_view(m, n).copy()
 
 
 def _log_chol_diag(t: np.ndarray) -> np.ndarray:
@@ -51,12 +58,14 @@ def log_det_direct(t: np.ndarray) -> float:
 
 
 def log_det_minors(m: MomentSequence, n_max: int) -> np.ndarray:
-    """log D_n for n = 0..n_max from one factorization of ``assemble(m, n_max)``.
+    """log D_n for n = 0..n_max from one factorization of the Toeplitz matrix of order n_max.
 
     log D_n = 2 Σ_{i≤n} log L_ii, since the factor of a leading block is the
-    leading block of the factor.
+    leading block of the factor.  The factor reads the strided view, not a copy:
+    LAPACK's column-major input buffer is then filled column by column from the
+    2N+1-entry strip, which stays in cache, and the bits are those of the copy's.
     """
-    return 2.0 * np.cumsum(_log_chol_diag(assemble(m, n_max)))
+    return 2.0 * np.cumsum(_log_chol_diag(_toeplitz_view(m, n_max)))
 
 
 def log_rho_sums(alphas, n_max: int) -> tuple[np.ndarray, np.ndarray]:

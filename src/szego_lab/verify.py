@@ -15,6 +15,8 @@ determinant routes (:func:`route_gaps`).  The limit report writes its CSV throug
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
@@ -174,12 +176,43 @@ def error_slope_fit(rows) -> float | None:
     return float(slope)
 
 
-def _g_pass(s: LaurentSymbol, n_max: int):
-    """(moments to order n_max + 1, α_0..α_{n_max}, log D_n, log G_n for n = 0..n_max)."""
-    m = moments(s, n_max + 1)
+def _g_pass(m: MomentSequence, n_max: int):
+    """(α_0..α_{n_max}, log D_n, log G_n for n = 0..n_max) from moments to order n_max + 1."""
     alphas = opuc.run_to(m, n_max + 1).alphas
     log_dn, log_g = toeplitz.log_dn_and_g(alphas, n_max, float(np.log(m.c0)))
-    return m, alphas, log_dn, log_g
+    return alphas, log_dn, log_g
+
+
+@contextmanager
+def _dense_route(m: MomentSequence, n_max: int):
+    """Run ``toeplitz.log_det_minors(m, n_max)`` on a helper thread while the block runs.
+
+    The block gets a function that joins the thread and returns the log D_n column,
+    or raises what the factor raised.  LAPACK releases the GIL, so the factor and
+    the product route on the calling thread use two cores.  The thread is joined on
+    every exit from the block, so none outlives the call.
+    """
+    outcome = []
+
+    def factor():
+        try:
+            outcome.append(toeplitz.log_det_minors(m, n_max))
+        except BaseException as exc:  # raised again on the calling thread
+            outcome.append(exc)
+
+    helper = threading.Thread(target=factor, daemon=True)
+    helper.start()
+
+    def log_direct() -> np.ndarray:
+        helper.join()
+        if isinstance(outcome[0], BaseException):
+            raise outcome[0]
+        return outcome[0]
+
+    try:
+        yield log_direct
+    finally:
+        helper.join()
 
 
 def g_problem(log_g, bound: float | None = None) -> str | None:
@@ -202,13 +235,27 @@ def strong_szego_report(
     log D_n is computed through both the Cholesky and the norm-product
     routes, each for every n in one pass (they must agree to relative
     1e-10), and the rows carry the product value; G_n is tracked and must
-    increase toward the target.
+    increase toward the target.  After the moments the two routes run at once:
+    the dense factor on one helper thread (:func:`_dense_route`), the α recursion,
+    the rows and the G_n rule on the calling thread, which joins the helper before
+    it reads the direct column.  A failure is raised in the order quadrature,
+    recursion, dense factor, route agreement, G_n.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     mean_coeff, target = target_sum(s)
-    m, _, log_products, log_g = _g_pass(s, n_max)
-    log_direct = toeplitz.log_det_minors(m, n_max)
+    m = moments(s, n_max + 1)
+    with _dense_route(m, n_max) as dense:
+        _, log_products, log_g = _g_pass(m, n_max)
+        excess = log_products - np.arange(1, n_max + 2) * mean_coeff
+        abs_err = np.abs(excess - target)
+        columns = (log_products, excess, np.full_like(excess, target), abs_err, np.exp(log_g))
+        rows = tuple(
+            ReportRow(n, *row) for n, row in enumerate(zip(*(c.tolist() for c in columns)))
+        )
+        problem = g_problem(log_g, target)
+        error_slope = error_slope_fit(rows)
+        log_direct = dense()
     bad = np.flatnonzero(~(route_gaps(log_direct, log_products) <= ROUTE_AGREEMENT_TOL))
     if bad.size:
         n = bad[0]
@@ -217,11 +264,6 @@ def strong_szego_report(
             f"direct {log_direct[n].tolist()!r} vs product {log_products[n].tolist()!r}",
             check="route-agreement",
         )
-    excess = log_products - np.arange(1, n_max + 2) * mean_coeff
-    abs_err = np.abs(excess - target)
-    columns = (log_products, excess, np.full_like(excess, target), abs_err, np.exp(log_g))
-    rows = tuple(ReportRow(n, *row) for n, row in enumerate(zip(*(c.tolist() for c in columns))))
-    problem = g_problem(log_g, target)
     if problem:
         raise InvariantViolation(f"G_n {problem}", check="g-monotone-bounded")
     return ConvergenceReport(
@@ -229,7 +271,7 @@ def strong_szego_report(
         route="product",
         mean_coeff=mean_coeff,
         target=target,
-        error_slope=error_slope_fit(rows),
+        error_slope=error_slope,
         meta={
             "symbol": format_symbol(s).replace("\n", ";"),
             "grid_m": m.quadrature_points,
@@ -266,19 +308,30 @@ def symbol_checks(
 
 def moment_checks(m: MomentSequence, n_max: int) -> list[tuple[str, bool, str]]:
     """The invariant suite for a moment sequence to degree min(n_max, m.order); a failed
-    positivity or recursion check ends the list, since the later checks read its result."""
-    try:
-        log_direct = toeplitz.log_det_minors(m, min(n_max, m.order))
-    except PositivityError as exc:
-        return [("positivity", False, str(exc))]
-    checks = [("positivity", True, "Cholesky factorization succeeded")]
+    positivity or recursion check ends the list, since the later checks read its result.
+
+    The dense factor runs on a helper thread (:func:`_dense_route`) while the calling
+    thread runs the recursion, whose error, if any, is held until the factor is judged:
+    a positivity FAIL comes first and ends the list, as when the two ran in turn.
+    """
     n_top = min(n_max, m.order - 1)
+    traj = held = None
+    with _dense_route(m, min(n_max, m.order)) as dense:
+        try:
+            traj = opuc.trajectory(m, n_top + 1) if n_top >= 0 else None
+        except Exception as exc:  # judged once the factor has passed
+            held = exc
+        try:
+            log_direct = dense()
+        except PositivityError as exc:
+            return [("positivity", False, str(exc))]
+    checks = [("positivity", True, "Cholesky factorization succeeded")]
+    if isinstance(held, SzegoLabError):
+        return checks + [("recursion", False, str(held))]
+    if held is not None:
+        raise held
     if n_top < 0:
         return checks
-    try:
-        traj = opuc.trajectory(m, n_top + 1)
-    except SzegoLabError as exc:
-        return checks + [("recursion", False, str(exc))]
     log_c0 = float(np.log(m.c0))
     alphas = np.asarray(traj.alphas)
     log_product, log_g = toeplitz.log_dn_and_g(alphas, n_top, log_c0)
@@ -413,11 +466,11 @@ def gi_bound_check(s: LaurentSymbol, level: int, n_max: int = 40) -> GIBoundRepo
     Gap sequences are reported as diagnostics, with no asserted decay rate.
     """
     _, target = target_sum(s)
-    _, alphas_full, _, log_g_full = _g_pass(s, n_max)
+    alphas_full, _, log_g_full = _g_pass(moments(s, n_max + 1), n_max)
 
     truncated = gi_truncate(s, level)
     _, gi_target = target_sum(truncated)
-    log_g_gi = log_g_full if truncated == s else _g_pass(truncated, n_max)[3]
+    log_g_gi = log_g_full if truncated == s else _g_pass(moments(truncated, n_max + 1), n_max)[2]
 
     _, log_g_bs = toeplitz.log_dn_and_g(alphas_full[:level], n_max)
 

@@ -1,18 +1,26 @@
-"""Contracts that were CI workflow steps, run in-process in tier-1 instead.
+"""Contracts that were CI workflow steps, run in tier-1 as well.
 
-Each test drives ``cli.main`` with the step's argv, or runs the README's Python
-example as the step did, and applies the step's gate unchanged, so the contract
-has one copy and a break shows up in tier-1 and not only in a CI log.
+Each test drives ``cli.main`` with the step's argv, runs the README's Python
+example as the step did, or runs ``python -m szego_lab.cli`` in a subprocess
+under the step's resource limit, and applies the step's gate unchanged, so a
+break shows up in tier-1 and not only in a CI log.
 """
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+import szego_lab
 from szego_lab import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = str(Path(szego_lab.__file__).resolve().parents[1])
 
 
 def run_json(argv, tmp_path, name):
@@ -64,3 +72,25 @@ def test_readme_python_example_runs():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_dense_matrix_that_does_not_fit_exits_4_in_one_line():
+    # step "A dense matrix that does not fit ends in one line": `ulimit -v 1500000`
+    # (KiB) is too small for the (10001, 10001) factor, which the limit report
+    # allocates on its helper thread; the CI step runs the installed script
+    resource = pytest.importorskip("resource")
+    limit = 1_500_000 * 1024
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    pythonpath = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-m", "szego_lab.cli", "verify", "--coeff", "1=0.5", "--nmax", "10000"],
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=pythonpath),
+        preexec_fn=cap_address_space,
+        capture_output=True,
+        timeout=120,
+    )
+    assert done.returncode == 4, done.stderr
+    assert done.stderr.count(b"\n") == 1, done.stderr

@@ -2,6 +2,7 @@
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -513,19 +514,26 @@ class TestPathAndMemoryErrors:
     def test_matrix_that_does_not_fit_exits_4_in_one_line(
         self, tmp_path, capsys, monkeypatch, source
     ):
-        def no_room(m, n):
-            raise MemoryError(f"Unable to allocate the ({n + 1}, {n + 1}) matrix")
+        # the dense factor allocates at the Cholesky call, on the report's helper thread
+        threads = []
 
-        monkeypatch.setattr(toeplitz, "assemble", no_room)
+        def no_room(t):
+            threads.append(threading.current_thread())
+            raise MemoryError(f"Unable to allocate the {t.shape} matrix")
+
+        monkeypatch.setattr(toeplitz.np.linalg, "cholesky", no_room)
         (tmp_path / "good.csv").write_text(GOOD_MOMENTS)
         argv = {
             "symbol": ["verify", "--coeff", "1=0.5", "--nmax", "10"],
             "moments": ["verify", "--moments", str(tmp_path / "good.csv"), "--nmax", "10"],
         }[source]
+        before = threading.active_count()
         assert cli.main(argv) == 4
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "szego-lab: out of range: Unable to allocate the (11, 11) matrix\n"
+        assert threads and threads[0] is not threading.current_thread()
+        assert threading.active_count() == before
 
 
 class TestDeterminism:

@@ -55,6 +55,23 @@ class TestMakeSymbol:
         s = make_symbol({1: 0.5 + 1e-13j, -1: 0.5 - 1e-13j})
         assert abs(s.coeff(1) - (0.5 + 1e-13j)) < 1e-15
 
+    def test_symmetrized_value_is_the_halved_sum_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for re, im, d_re, d_im in rng.normal(size=(200, 4)):
+            plus = complex(re, im)
+            minus = plus.conjugate() + complex(d_re, d_im) * 1e-13
+            assert make_symbol({1: plus, -1: minus}).coeff(1) == 0.5 * (plus + minus.conjugate())
+
+    def test_symmetric_pair_near_the_float_limit(self):
+        # l_1 + conj(l_-1) overflows; the halves do not
+        s = make_symbol({1: 1e308, -1: 1e308})
+        assert (s.coeff(1), s.coeff(-1)) == (1e308, 1e308)
+
+    @pytest.mark.parametrize("minus", [-1e308, 0.5e308, 1e308j])
+    def test_rejects_an_asymmetric_pair_near_the_float_limit(self, minus):
+        with pytest.raises(ConjugateSymmetryError, match="^coefficient 1 violates"):
+            make_symbol({1: 1e308, -1: minus})
+
     def test_rejects_conjugate_violation(self):
         with pytest.raises(ConjugateSymmetryError):
             make_symbol({1: 0.5j, -1: 0.3})

@@ -19,7 +19,8 @@ from szego_lab import (
     trajectory,
 )
 from szego_lab.symbol import MomentSequence
-from szego_lab.verify import routes_agree
+from szego_lab.toeplitz import _log_chol_diag
+from szego_lab.verify import bs_log_weight, routes_agree
 
 from conftest import bessel_i, geometric_moments, same_bits
 
@@ -90,6 +91,32 @@ class TestLogDetMinors:
     def test_indefinite_moments_are_rejected(self):
         with pytest.raises(PositivityError):
             log_det_minors(MomentSequence((1.0, 0.5, 1.5)), 2)
+
+    @pytest.fixture(scope="class")
+    def minor_moments(self, suite):
+        """Moments to order 400 of the suite, a complex symbol and bs-0.97."""
+        symbols = dict(suite)
+        symbols["complex"] = make_symbol({1: 0.3 + 0.2j, -1: 0.3 - 0.2j, 2: 0.1j, -2: -0.1j})
+        symbols["bs-0.97"] = bs_log_weight(0.97)
+        return {name: moments(s, 400) for name, s in symbols.items()}
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 40, 400])
+    def test_bits_are_those_of_the_assembled_copy(self, minor_moments, n):
+        # the factor reads the strided view; the reference factors assemble's contiguous copy
+        for name, m in minor_moments.items():
+            want = 2.0 * np.cumsum(_log_chol_diag(assemble(m, n)))
+            assert np.array_equal(log_det_minors(m, n), want), name
+
+    def test_allocates_the_factor_and_no_copy(self, cos_symbol):
+        m = moments(cos_symbol, 800)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            log_det_minors(m, 800)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 1.1 * 801**2 * 16  # the complex factor alone
 
 
 class TestLogDetProduct:

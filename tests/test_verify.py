@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import threading
 from dataclasses import asdict, astuple
 
 import numpy as np
@@ -162,7 +164,8 @@ class TestStrongSzegoReport:
 def loop_report_rows(s, n_max):
     """The report's rows, one degree at a time, raising as the report does."""
     mean_coeff, target = target_sum(s)
-    m, _, log_products, log_g = verify._g_pass(s, n_max)
+    m = moments(s, n_max + 1)
+    _, log_products, log_g = verify._g_pass(m, n_max)
     log_direct = toeplitz.log_det_minors(m, n_max).tolist()
     rows = []
     for n, log_product in enumerate(log_products.tolist()):
@@ -377,14 +380,15 @@ class TestGIBounds:
         assert calls == [two_band_symbol, verify.gi_truncate(two_band_symbol, level)]
 
     def test_decreasing_g_of_the_truncated_weight_is_named(self, two_band_symbol, monkeypatch):
-        truncated = verify.gi_truncate(two_band_symbol, 1)
         real = verify._g_pass
+        passes = []
 
-        def broken(s, n_max):
-            m, alphas, log_dn, log_g = real(s, n_max)
-            if s == truncated:
+        def broken(m, n_max):
+            alphas, log_dn, log_g = real(m, n_max)
+            passes.append(m)
+            if len(passes) == 2:  # the truncated weight's, after the full weight's
                 log_g = log_g - 1e-9 * np.arange(n_max + 1)
-            return m, alphas, log_dn, log_g
+            return alphas, log_dn, log_g
 
         monkeypatch.setattr(verify, "_g_pass", broken)
         with pytest.raises(
@@ -549,3 +553,125 @@ class TestCheckRows:
             assert list(payload) == ["n", "t", "h", "analytic", "finite_diff", "gap", "ratio"]
             assert (payload["n"], payload["t"], payload["h"]) == (3, 0.5, 1e-3)
             assert checks == [("feynman-hellman", True, "")], name
+
+
+class TestRoutesAtOnce:
+    """The dense factor runs on a helper thread: failures keep their order and text,
+    and no thread outlives a call."""
+
+    POSITIVITY_94 = (
+        "|alpha_94| = 2.50317 >= 1: moment matrix not positive definite or accuracy exhausted"
+    )
+
+    @pytest.fixture
+    def no_new_threads(self):
+        before = threading.active_count()
+        yield
+        assert threading.active_count() == before
+
+    @staticmethod
+    def dense_fails(monkeypatch):
+        def indefinite(t):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(toeplitz.np.linalg, "cholesky", indefinite)
+
+    def test_success_leaves_no_thread(self, suite, no_new_threads):
+        for s in suite.values():
+            assert strong_szego_report(s, 40).rows[-1].n == 40
+
+    def test_concurrent_reports_keep_their_own_columns(self, suite, no_new_threads):
+        # each call's helper writes only its own outcome; more callers than cores,
+        # with a short switch interval, would expose a mixed-up or lost column
+        want = {name: strong_szego_report(s, 40) for name, s in suite.items()}
+        got = {}
+
+        def run(name):
+            got[name] = strong_szego_report(suite[name], 40)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run, args=(name,)) for name in suite]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+                assert not caller.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    def test_recursion_failure_comes_before_the_dense_one(self, no_new_threads):
+        # at l_1 = 10 and N = 400 both routes fail; the recursion's error is raised
+        s = make_symbol({1: 10.0, -1: 10.0})
+        with pytest.raises(PositivityError, match="^Toeplitz matrix is not positive definite"):
+            toeplitz.log_det_minors(moments(s, 401), 400)
+        with pytest.raises(PositivityError) as exc:
+            strong_szego_report(s, 400)
+        assert str(exc.value) == self.POSITIVITY_94
+
+    def test_dense_only_failure_is_raised(self, cos_symbol, monkeypatch, no_new_threads):
+        self.dense_fails(monkeypatch)
+        with pytest.raises(PositivityError) as exc:
+            strong_szego_report(cos_symbol, 40)
+        assert str(exc.value) == (
+            "Toeplitz matrix is not positive definite: Matrix is not positive definite"
+        )
+
+    def test_route_agreement_text(self, no_new_threads):
+        with pytest.raises(InvariantViolation) as exc:
+            strong_szego_report(make_symbol({1: 5.0, -1: 5.0}), 40)
+        assert exc.value.check == "route-agreement"
+        assert str(exc.value) == (
+            "determinant routes disagree at n=38: "
+            "direct 25.000000001220187 vs product 24.999999998444025"
+        )
+
+    def test_g_failure_comes_after_the_dense_one(self, cos_symbol, monkeypatch, no_new_threads):
+        real = toeplitz.log_dn_and_g
+
+        def decreasing(alphas, n_max, log_c0=0.0):
+            log_dn, log_g = real(alphas, n_max, log_c0)
+            return log_dn, log_g - 1e-9 * np.arange(n_max + 1)
+
+        monkeypatch.setattr(toeplitz, "log_dn_and_g", decreasing)
+        with pytest.raises(InvariantViolation) as exc:
+            strong_szego_report(cos_symbol, 40)
+        assert (exc.value.check, str(exc.value)) == (
+            "g-monotone-bounded", "G_n is not nondecreasing"
+        )
+        self.dense_fails(monkeypatch)
+        with pytest.raises(PositivityError, match="^Toeplitz matrix is not positive definite"):
+            strong_szego_report(cos_symbol, 40)
+
+    def test_helper_errors_reach_the_caller(self, cos_symbol, monkeypatch, no_new_threads):
+        def no_room(t):
+            raise MemoryError("no room for the factor")
+
+        monkeypatch.setattr(toeplitz.np.linalg, "cholesky", no_room)
+        with pytest.raises(MemoryError, match="^no room for the factor$"):
+            strong_szego_report(cos_symbol, 40)
+        with pytest.raises(MemoryError, match="^no room for the factor$"):
+            verify.moment_checks(moments(cos_symbol, 12), 10)
+
+    def test_positivity_fail_ends_the_moment_checks(self, cos_symbol, monkeypatch, no_new_threads):
+        m = moments(cos_symbol, 12)
+        self.dense_fails(monkeypatch)
+        assert verify.moment_checks(m, 10) == [
+            ("positivity", False,
+             "Toeplitz matrix is not positive definite: Matrix is not positive definite"),
+        ]
+
+        def broken(m, n):
+            raise PositivityError("recursion broke")
+
+        monkeypatch.setattr(opuc, "trajectory", broken)
+        [(name, ok, _)] = verify.moment_checks(m, 10)  # the recursion's failure is discarded
+        assert (name, ok) == ("positivity", False)
+        monkeypatch.undo()
+        monkeypatch.setattr(opuc, "trajectory", broken)
+        assert verify.moment_checks(m, 10) == [
+            ("positivity", True, "Cholesky factorization succeeded"),
+            ("recursion", False, "recursion broke"),
+        ]
