@@ -17,13 +17,16 @@ Moderate dimensions are handled by seeded Monte Carlo over CUE(N), N = n+1,
 itself (Killip & Nenciu, arXiv:math/0410034).  A draw is the paraorthogonal
 Φ_N of the Szegő recursion Φ_{k+1} = zΦ_k - ᾱ_k Φ_k* on independent α_k,
 |α_k|² ~ Beta(1, N-k-1) with uniform phases for k < N-1 and |α_{N-1}| = 1;
-its zeros are the eigenvalues.  No zero is computed: with l_0 = 0,
-Σ_j L(θ_j) = 2 Re Σ_k l_k p_k needs the power sums p_k = Σ_j z_j^k, k ≤ K,
-and Newton's identities give them from the top min(K, N) coefficients of
-Φ_N, which the recursion carries together with the bottom ones and nothing
-in between.  A sample is the mean of Π_j w(θ_j + 2πd/8) over the eight turns
-d = 0..7 of one draw: turning every zero by 2πd/8 multiplies p_k by
-e^{2πidk/8}, so the eight sums S_d come from one (8, K) @ (K, batch) product.
+its zeros are the eigenvalues.  A phase e^{-2πiu} is taken from its uniform
+u by the half-angle tangent t = tan(π(u - 1/2)), as (t² - 1 + 2it)/(1 + t²),
+with no cos or sin, which would cost most of a batch.  No zero is computed:
+with l_0 = 0, Σ_j L(θ_j) = 2 Re Σ_k l_k p_k needs the power sums
+p_k = Σ_j z_j^k, k ≤ K, and Newton's identities give them from the top
+min(K, N) coefficients of Φ_N, which the recursion carries together with the
+bottom ones and nothing in between.  A sample is the mean of
+Π_j w(θ_j + 2πd/8) over the eight turns d = 0..7 of one draw: turning every
+zero by 2πd/8 multiplies p_k by e^{2πidk/8}, so the eight sums S_d come from
+one (8, K) @ (K, batch) product.
 Haar measure does not change when every eigenvalue turns by the same angle,
 so each turned draw is again a CUE draw and the mean is unbiased, with no
 quadrature in the angle.  Its relative variance is
@@ -158,13 +161,24 @@ def _conj_alphas(u: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndar
     """Rows ᾱ_0..ᾱ_{N-1} of Killip–Nenciu coefficients from (batch, 2N-1) uniforms on [0, 1).
 
     The last N columns of ``u`` are the phases ψ_k = 2πu of α_k = r_k e^{iψ_k}.
+    e^{-iψ_k} is taken by the half-angle tangent t = tan(π(u - 1/2)) as
+    (t² - 1 + 2it)/(1 + t²), with no cos or sin: numpy's float64 tan runs as a
+    vector loop, and its cos and sin do not.  The map is within 8e-16 of
+    e^{-2πiu}, and finite at u = 0, where |t| ≈ 1.6e16.
     The first N-1 give r_k² = -expm1(log(1-u)/(N-k-1)) = 1 - (1-u)^{1/(N-k-1)},
     a Beta(1, N-k-1) draw (1-u lies in (0, 1], so the log is finite), and
     r_{N-1} = 1.  ``out`` is complex and ``scratch`` real, both (N, batch).
     """
     points = out.shape[0]
-    np.multiply(u[:, points - 1 :].T, -2.0 * np.pi, out=scratch)
-    circle_points(scratch, out=out)  # e^{-iψ_k}
+    t = np.subtract(u[:, points - 1 :].T, 0.5, out=scratch)
+    t *= np.pi
+    np.tan(t, out=t)
+    np.multiply(t, 2.0, out=out.imag)
+    np.multiply(t, t, out=out.real)
+    np.add(out.real, 1.0, out=t)  # 1 + t²; t itself is read no more
+    out.real -= 1.0
+    out.real /= t
+    out.imag /= t  # e^{-iψ_k}
     r = np.subtract(1.0, u[:, : points - 1].T, out=scratch[:-1])
     np.log(r, out=r)
     r /= np.arange(points - 1, 0, -1.0)[:, None]
@@ -295,6 +309,7 @@ def mc_Dn(
     (0.0635 for cosine and 0.0020 for two-band at n = 8, from 0.649 and 0.1275).
     Deterministic given (seed, samples, workers): worker i draws from the
     seed's i-th spawned substream and the partial sums are reduced in worker order.
+    The fork pool has at most one process per CPU this process may run on.
     The samples see l_0 = 0, and D_n(e^{l_0} w) = e^{(n+1) l_0} D_n(w) scales the result.
     """
     if not 1 <= n <= MC_MAX_N:
@@ -306,7 +321,11 @@ def mc_Dn(
     base, extra = divmod(samples, workers)
     counts = [base + (1 if i < extra else 0) for i in range(workers)]
     tasks = [(s.coeffs[1:], n, counts[i], seed, i) for i in range(workers) if counts[i] > 0]
-    processes = min(len(tasks), os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on, not the machine's
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    processes = min(len(tasks), cores)
     if processes > 1:
         import multiprocessing  # 6-13 ms to import, so only when a pool runs
 

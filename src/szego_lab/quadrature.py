@@ -44,16 +44,15 @@ def angles(m: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(m) / m
 
 
-def circle_points(theta, out: np.ndarray | None = None) -> np.ndarray | complex:
+def circle_points(theta) -> np.ndarray | complex:
     """z = e^{iθ} on the unit circle, filled as cos θ + i sin θ with no complex exp.
 
     glibc's cexp(0 + iθ) is (cos θ, sin θ) bitwise, so these are the bits of
     ``np.exp(1j * θ)`` there; the complex argument and its e^0 scale are skipped.
-    A scalar θ gives a complex scalar, as the ufunc does.  ``out``, a complex
-    array of θ's shape, receives the points when it is given.
+    A scalar θ gives a complex scalar, as the ufunc does.
     """
     theta = np.asarray(theta, dtype=float)
-    z = np.empty(theta.shape, dtype=complex) if out is None else out
+    z = np.empty(theta.shape, dtype=complex)
     np.cos(theta, out=z.real)
     np.sin(theta, out=z.imag)
     return z[()]

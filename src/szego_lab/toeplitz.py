@@ -43,12 +43,18 @@ def _log_chol_diag(t: np.ndarray) -> np.ndarray:
     """log diag(L) of the Cholesky factor t = L L^H.
 
     A factorization failure is diagnostic (the matrix is not positive
-    definite) and surfaces as :class:`PositivityError`.
+    definite) and surfaces as :class:`PositivityError`.  numpy raises an empty
+    :class:`MemoryError` when LAPACK's work buffer does not fit; it is raised
+    again naming the matrix order, and one with a message passes unchanged.
     """
     try:
         chol = np.linalg.cholesky(t)
     except np.linalg.LinAlgError as exc:
         raise PositivityError(f"Toeplitz matrix is not positive definite: {exc}") from exc
+    except MemoryError as exc:
+        if str(exc):
+            raise
+        raise MemoryError(f"no room to factor the Toeplitz matrix of order {t.shape[0]}") from exc
     return np.log(np.real(np.diag(chol)))
 
 

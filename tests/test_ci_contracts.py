@@ -74,6 +74,25 @@ def test_readme_python_example_runs():
         exec(compile(block, str(README), "exec"), {})
 
 
+def test_seeded_monte_carlo_is_byte_identical_from_run_to_run():
+    # step "Seeded Monte Carlo is byte-identical from run to run": the README's
+    # command twice in fresh processes, through the fork pool
+    pythonpath = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
+    argv = ["coulomb", "--coeff", "1=0.5", "--n", "3", "--samples", "100000", "--seed", "7",
+            "--workers", "4"]
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "szego_lab.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=pythonpath),
+            capture_output=True,
+            timeout=120,
+        )
+        for _ in range(2)
+    ]
+    assert [run.returncode for run in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout and json.loads(runs[0].stdout)["seed"] == 7
+
+
 def test_dense_matrix_that_does_not_fit_exits_4_in_one_line():
     # step "A dense matrix that does not fit ends in one line": `ulimit -v 1500000`
     # (KiB) is too small for the (10001, 10001) factor, which the limit report

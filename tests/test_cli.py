@@ -535,6 +535,18 @@ class TestPathAndMemoryErrors:
         assert threads and threads[0] is not threading.current_thread()
         assert threading.active_count() == before
 
+    def test_an_empty_memory_error_names_the_matrix_order(self, capsys, monkeypatch):
+        # numpy raises MemoryError() with no text when LAPACK's work buffer does not fit
+        def no_room(t):
+            raise MemoryError()
+
+        monkeypatch.setattr(toeplitz.np.linalg, "cholesky", no_room)
+        assert cli.main(["verify", "--coeff", "1=0.5", "--nmax", "10"]) == 4
+        assert capsys.readouterr() == (
+            "",
+            "szego-lab: out of range: no room to factor the Toeplitz matrix of order 11\n",
+        )
+
 
 class TestDeterminism:
     def test_verify_byte_identical_across_runs(self, tmp_path):

@@ -89,8 +89,12 @@ def reference_mc_worker(task, workers):
     while done < count:
         batch = min(coulomb._MC_BATCH, count - done)
         u = rng.random((batch, 2 * points - 1))
-        psi = np.ascontiguousarray(u[:, points - 1 :].T) * (-2.0 * np.pi)
-        abar = np.cos(psi) + 1j * np.sin(psi)  # e^{-iψ_k}, row k
+        # e^{-iψ_k}, row k, as (t² - 1 + 2it)/(1 + t²) with t = tan(π(u - 1/2))
+        t = np.tan(np.pi * (np.ascontiguousarray(u[:, points - 1 :].T) - 0.5))
+        scale = 1.0 + t * t
+        abar = np.empty(t.shape, dtype=complex)
+        abar.real = (t * t - 1.0) / scale
+        abar.imag = 2.0 * t / scale
         ratio = np.log(1.0 - np.ascontiguousarray(u[:, : points - 1].T))
         ratio /= np.arange(points - 1, 0, -1.0)[:, None]
         abar[:-1] *= np.sqrt(-np.expm1(ratio))
@@ -274,6 +278,51 @@ class TestBufferedPairGaps:
             assert coulomb._mc_worker(task) == reference_mc_worker(task, workers=2), name
 
 
+class TestPhases:
+    """The phases e^{-2πiu} of the draws, taken by a half-angle tangent with no cos or sin."""
+
+    EDGES = [0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)]
+
+    @staticmethod
+    def phases(u):
+        """e^{-2πiu} as ``_conj_alphas`` takes it: a CUE(1) draw is its phase alone."""
+        u = np.asarray(u, dtype=float).reshape(-1, 1)
+        out = np.empty((1, u.shape[0]), dtype=complex)
+        return coulomb._conj_alphas(u, out, np.empty((1, u.shape[0])))[0]
+
+    def test_the_map_is_the_complex_exponential(self):
+        u = np.concatenate([np.random.default_rng(61).random(10**6), self.EDGES])
+        z = self.phases(u)
+        assert np.all(np.isfinite(z))
+        assert np.max(np.abs(z - np.exp(-2j * np.pi * u))) <= 2e-15
+        assert np.max(np.abs(np.abs(z) - 1.0)) <= 1e-15
+
+    def test_the_map_against_extended_precision(self):
+        mpmath = pytest.importorskip("mpmath")
+        u = np.concatenate([np.random.default_rng(62).random(500), self.EDGES])
+        z = self.phases(u)
+        with mpmath.workdps(30):
+            for u_j, z_j in zip(u, z):
+                want = mpmath.expjpi(-2 * mpmath.mpf(float(u_j)))
+                assert abs(mpmath.mpc(z_j.real, z_j.imag) - want) <= 1e-15, u_j
+
+    def test_no_batch_goes_through_cos_or_sin(self, monkeypatch):
+        # the worker's only trigonometry is its (R, K) table of turned coefficients
+        sizes = []
+
+        def recorded(fn):
+            return lambda theta, *args, **kwargs: (
+                sizes.append(np.size(theta)) or fn(theta, *args, **kwargs)
+            )
+
+        monkeypatch.setattr(coulomb, "circle_points", recorded(coulomb.circle_points))
+        monkeypatch.setattr(np, "cos", recorded(np.cos))
+        monkeypatch.setattr(np, "sin", recorded(np.sin))
+        coeffs = (0.5, 0.25)
+        coulomb._mc_worker((coeffs, coulomb.MC_MAX_N, 20_001, 3, 0))
+        assert sizes and max(sizes) <= coulomb._MC_ROTATIONS * len(coeffs)
+
+
 class TestCUEPowerSums:
     """The draws against exact moments of CUE(N) power sums p_k = tr U^k, with no determinant."""
 
@@ -416,13 +465,21 @@ class TestMonteCarlo:
         monkeypatch.setattr(
             multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=InlinePool)
         )
+        # the pool follows the CPUs this process may run on (as under `taskset -c 0`),
+        # not the machine's count
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         pooled = mc_Dn(cos_symbol, 3, samples=64_000, seed=4, workers=64)
         assert sizes == [2]
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         inline = mc_Dn(cos_symbol, 3, samples=64_000, seed=4, workers=64)
         assert sizes == [2]
         assert (pooled.value, pooled.std_err) == (inline.value, inline.std_err)
+        # with no affinity call, os.cpu_count() sizes the pool
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        unpinned = mc_Dn(cos_symbol, 3, samples=64_000, seed=4, workers=64)
+        assert sizes == [2, 2]
+        assert (unpinned.value, unpinned.std_err) == (inline.value, inline.std_err)
 
     def test_three_sigma_coverage_over_seeds(self, cos_symbol):
         # frozen regression: seeds 0..99 at n=3, 1e5 samples cover the

@@ -127,13 +127,9 @@ class TestCirclePoints:
             z = circle_points(theta)
             assert same_bits(z.real, want.real) and same_bits(z.imag, want.imag)
 
-    def test_scalar_and_out(self):
+    def test_scalar(self):
         z = circle_points(0.7)
         assert isinstance(z, np.complex128) and z == np.exp(0.7j)
-        theta = np.linspace(0.0, 6.0, 12).reshape(3, 4)
-        out = np.empty((3, 4), dtype=complex)
-        circle_points(theta, out=out)
-        assert same_bits(out.view(float), circle_points(theta).view(float))
 
 
 class TestHornerBits:
